@@ -5,6 +5,8 @@ JSON document; sweep maps the same battery over every composition of each
 n <= n_max (lexicographic order, one pure worker call per composition) and
 aggregates.  Oversized generic determinants are recorded as skipped, never
 as failures.  All output is deterministic: sorted keys, stable orderings.
+Exit codes: 0 pass, 1 failed check or resource limit, 2 bad input, bad bound
+or unwritable output.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from .errors import (
     InvalidInputError,
     InvalidStateError,
     NilfibreViolationError,
+    OutputError,
     P1ViolationError,
     ResourceLimitError,
     SectionDefectError,
@@ -167,12 +170,18 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_report(out_dir: str, name: str, payload: dict) -> Path:
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / name
-    path.write_text(_dump_json(payload), encoding="utf-8")
+def _write_text(out_dir: str, name: str, text: str) -> Path:
+    path = Path(out_dir) / name
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
     return path
+
+
+def _write_report(out_dir: str, name: str, payload: dict) -> Path:
+    return _write_text(out_dir, name, _dump_json(payload))
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -195,9 +204,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if args.out_dir:
         ext = {"ascii": "txt", "json": "json", "tikz": "tex", "svg": "svg"}[args.format]
         name = f"construct-{'-'.join(map(str, comp.parts))}-stage{args.stage}.{ext}"
-        directory = Path(args.out_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / name).write_text(text, encoding="utf-8")
+        _write_text(args.out_dir, name, text)
     return 0
 
 
@@ -215,6 +222,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.n_max < 1:
+        raise InvalidInputError(f"--n-max must be at least 1, got {args.n_max}")
     if args.n_max > SWEEP_N_MAX:
         raise InvalidInputError(f"--n-max is capped at {SWEEP_N_MAX} for exhaustive sweeps")
     rows = []
@@ -291,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidInputError, InvalidStateError) as exc:
+    except (InvalidInputError, InvalidStateError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ResourceLimitError, WsectionsError) as exc:

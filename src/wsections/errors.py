@@ -33,6 +33,10 @@ class NilfibreViolationError(WsectionsError):
     """An invariant failed to vanish where it must."""
 
 
+class OutputError(WsectionsError):
+    """A report or rendering could not be written to the requested place."""
+
+
 class ResourceLimitError(WsectionsError):
     """A symbolic computation exceeded the configured size guard."""
 

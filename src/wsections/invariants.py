@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .construction import Section
 from .errors import (
     InternalError,
+    InvalidInputError,
     NilfibreViolationError,
     ResourceLimitError,
     SectionDefectError,
@@ -40,13 +41,25 @@ _DET_BOUND_ENV = "WS_DET_BOUND"
 
 
 def det_size_bound(override: int | None = None) -> int:
-    """Size guard for fully generic determinants; WS_DET_BOUND wins."""
+    """Size guard for fully generic determinants; WS_DET_BOUND wins.
+
+    Raises InvalidInputError for a non-integer bound or one below 1.
+    """
     env = os.environ.get(_DET_BOUND_ENV)
     if env is not None:
-        return int(env)
-    if override is not None:
-        return override
-    return DEFAULT_DET_BOUND
+        try:
+            bound = int(env)
+        except ValueError:
+            raise InvalidInputError(
+                f"{_DET_BOUND_ENV} must be an integer, got {env!r}"
+            ) from None
+    elif override is not None:
+        bound = override
+    else:
+        bound = DEFAULT_DET_BOUND
+    if bound < 1:
+        raise InvalidInputError(f"determinant size bound must be at least 1, got {bound}")
+    return bound
 
 
 @dataclass(frozen=True)

@@ -1,47 +1,49 @@
-"""Exact integer linear algebra: rank and triangular-minor witnesses."""
+"""Exact integer linear algebra: rank, triangular-minor witnesses, unit differences.
+
+The rank is a sparse fraction-free elimination over the integers, so its cost
+follows the nonzeros; with no modulus and no floats it is exact over Q.
+"""
 from __future__ import annotations
 
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalError
 
 
-def rank_int(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals via fraction-free elimination on integers."""
-    work = [list(map(int, row)) for row in rows if any(row)]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    col = 0
-    while work and col < ncols:
-        pivot_idx = None
-        for idx, row in enumerate(work):
-            if row[col] != 0:
-                pivot_idx = idx
+def rank_int(rows: Iterable[Sequence[int] | Mapping[int, int]]) -> int:
+    """Rank over the rationals by sparse fraction-free row reduction on integers.
+
+    Rows are dense sequences or {column: coefficient} mappings.  Pivot rows
+    are kept by leading column; each incoming row is reduced against the
+    pivot at its leading column (r <- a*r - b*pivot, then divided by its
+    content) until it becomes a new pivot or vanishes.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        items = row.items() if isinstance(row, Mapping) else enumerate(row)
+        r = {c: int(x) for c, x in items if x}
+        while r:
+            lead = min(r)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = r
                 break
-        if pivot_idx is None:
-            col += 1
-            continue
-        pivot_row = work.pop(pivot_idx)
-        p = pivot_row[col]
-        rank += 1
-        reduced = []
-        for row in work:
-            if row[col] != 0:
-                f = row[col]
-                row = [p * a - f * b for a, b in zip(row, pivot_row)]
-                g = 0
-                for a in row:
-                    g = gcd(g, a)
-                if g > 1:
-                    row = [a // g for a in row]
-            if any(row):
-                reduced.append(row)
-        work = reduced
-        col += 1
-    return rank
+            g = gcd(pivot[lead], r[lead])
+            a, b = pivot[lead] // g, r[lead] // g
+            if a != 1:
+                for c in r:
+                    r[c] *= a
+            for c, x in pivot.items():
+                y = r.get(c, 0) - b * x
+                if y:
+                    r[c] = y
+                else:
+                    del r[c]
+            content = gcd(*r.values())
+            if content > 1:
+                r = {c: x // content for c, x in r.items()}
+    return len(pivots)
 
 
 def triangular_unimodular_witness(

@@ -303,34 +303,40 @@ def _det_expansion(matrix: SymbolicMatrix) -> Polynomial:
     order = sorted(range(m), key=lambda r: (sum(1 for c in matrix.rows[r] if c != 0), r))
     sign = _permutation_sign(order)
     rows = [matrix.rows[r] for r in order]
-
-    memo: dict[int, Polynomial] = {}
-
-    def expand(depth: int, mask: int) -> Polynomial:
-        if depth == m:
-            return Polynomial.const(1)
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        total = Polynomial.zero()
-        row = rows[depth]
-        parity = 0
-        for c in range(m):
-            bit = 1 << c
-            if not mask & bit:
-                continue
-            cell = row[c]
-            if cell != 0:
-                sub = expand(depth + 1, mask & ~bit)
-                if not sub.is_zero():
-                    term = sub * cell if isinstance(cell, int) else sub * Polynomial.variable(cell)
-                    total = total + (term if parity % 2 == 0 else -term)
-            parity += 1
-        memo[mask] = total
-        return total
-
-    result = expand(0, (1 << m) - 1)
+    result = _expand(rows, 0, (1 << m) - 1, {})
     return result if sign == 1 else -result
+
+
+def _expand(
+    rows: list[tuple[Entry, ...]], depth: int, mask: int, memo: dict[int, Polynomial]
+) -> Polynomial:
+    """Determinant of rows[depth:] on the columns in mask, memoized on mask.
+
+    A module-level function, not a closure: a closure that calls itself is a
+    reference cycle, and it would keep the memo's polynomials alive until the
+    cyclic garbage collector next runs instead of freeing them on return.
+    """
+    if depth == len(rows):
+        return Polynomial.const(1)
+    cached = memo.get(mask)
+    if cached is not None:
+        return cached
+    total = Polynomial.zero()
+    row = rows[depth]
+    parity = 0
+    for c in range(len(rows)):
+        bit = 1 << c
+        if not mask & bit:
+            continue
+        cell = row[c]
+        if cell != 0:
+            sub = _expand(rows, depth + 1, mask & ~bit, memo)
+            if not sub.is_zero():
+                term = sub * cell if isinstance(cell, int) else sub * Polynomial.variable(cell)
+                total = total + (term if parity % 2 == 0 else -term)
+        parity += 1
+    memo[mask] = total
+    return total
 
 
 def _permutation_sign(perm: Iterable[int]) -> int:

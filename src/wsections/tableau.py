@@ -156,6 +156,17 @@ class Tableau:
         """Entry of the box in row u, column v."""
         return u + self.composition.prefix(v)
 
+    @cached_property
+    def nilradical(self) -> tuple[MatrixUnit, ...]:
+        """All matrix units of the nilradical, ordered by (i, j); built once."""
+        units = []
+        for i in range(1, self.n + 1):
+            ci = self.col_of(i)
+            for j in range(1, self.n + 1):
+                if ci < self.col_of(j):
+                    units.append(MatrixUnit(i, j))
+        return tuple(units)
+
 
 def build_tableau(c: Composition) -> Tableau:
     """Number the diagram of c down the columns, left to right."""
@@ -199,13 +210,7 @@ def in_nilradical(t: Tableau, u: MatrixUnit) -> bool:
 
 def nilradical_basis(t: Tableau) -> tuple[MatrixUnit, ...]:
     """All matrix units of the nilradical, ordered by (i, j)."""
-    units = []
-    for i in range(1, t.n + 1):
-        ci = t.col_of(i)
-        for j in range(1, t.n + 1):
-            if ci < t.col_of(j):
-                units.append(MatrixUnit(i, j))
-    return tuple(units)
+    return t.nilradical
 
 
 def bs_degree(t: Tableau, p: NeighborPair) -> int:

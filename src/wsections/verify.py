@@ -4,8 +4,10 @@ Weights live over the simple roots a_1 .. a_{n-1}; the line from entry i to
 entry j has weight a_i + ... + a_{j-1}.  Separation asks for the weights of
 the 1-labelled horizontal lines to stay independent when paired against the
 coroots indexed by the tableau minus the lowest box of every column.  The
-orbit computations run the adjoint action of a basis of the relevant algebra
-on an explicit point and take exact integer ranks; nothing is floated.
+orbit computations (density included) run the adjoint action of a basis of
+the relevant algebra on an explicit point and hand the brackets, as sparse
+rows over the nilradical coordinates, to the exact integer rank; nothing is
+floated.
 """
 from __future__ import annotations
 
@@ -84,10 +86,7 @@ def separation_matrix(t: Tableau, ls: LineSet) -> SeparationMatrix:
 
 def separation_rank(t: Tableau, ls: LineSet) -> int:
     """Exact rank of the separation matrix; the contract is rank == #1-lines."""
-    sm = separation_matrix(t, ls)
-    if not sm.rows:
-        return 0
-    return rank_int(sm.rows)
+    return rank_int(separation_matrix(t, ls).rows)
 
 
 def root_system_type(ls: LineSet) -> tuple[int, ...]:
@@ -186,11 +185,10 @@ def _span_dimension(
     t: Tableau,
     vectors: Iterable[Mapping[tuple[int, int], int]],
 ) -> int:
-    units = nilradical_basis(t)
-    index = {u.key: pos for pos, u in enumerate(units)}
+    index = {u.key: pos for pos, u in enumerate(nilradical_basis(t))}
     rows = []
     for vec in vectors:
-        row = [0] * len(units)
+        row = {}
         for key, coeff in vec.items():
             if coeff == 0:
                 continue
@@ -198,8 +196,6 @@ def _span_dimension(
                 raise InvalidInputError(f"vector leaves the nilradical at {key}")
             row[index[key]] = coeff
         rows.append(row)
-    if not rows:
-        return 0
     return rank_int(rows)
 
 

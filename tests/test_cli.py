@@ -126,6 +126,29 @@ class TestVerify:
         report = json.loads((tmp_path / "verify-2-1-1-2.json").read_text())
         assert len(report["skipped"]) == 1
 
+    def test_bad_env_bound_exit_2(self, capsys, tmp_path, monkeypatch):
+        for value in ("abc", "0", "-1"):
+            monkeypatch.setenv("WS_DET_BOUND", value)
+            code, _, err = run(["verify", "-c", "2,1,1,2", "-o", str(tmp_path)], capsys)
+            assert code == 2 and "error" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_negative_bound_flag_exit_2(self, capsys, tmp_path):
+        code, _, err = run(
+            ["verify", "-c", "2,1,1,2", "--det-size-bound", "-1", "-o", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2 and "at least 1" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_unwritable_out_dir_exit_2(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, err = run(["verify", "-c", "2,1,1,2", "-o", str(blocker / "x")], capsys)
+        assert code == 2 and err.startswith("error: cannot write")
+        code, _, err = run(["construct", "-c", "2,1,1,2", "-o", str(blocker / "x")], capsys)
+        assert code == 2 and err.startswith("error: cannot write")
+
     def test_failure_exit_1(self, capsys, tmp_path, monkeypatch):
         broken = {
             "schema": "ws-report/1",
@@ -169,6 +192,12 @@ class TestSweep:
     def test_n_max_guard(self, capsys):
         code, _, err = run(["sweep", "--n-max", "13"], capsys)
         assert code == 2 and "capped" in err
+
+    def test_n_max_below_1_exit_2(self, capsys, tmp_path):
+        for n_max in ("0", "-3"):
+            code, _, err = run(["sweep", "--n-max", n_max, "-o", str(tmp_path)], capsys)
+            assert code == 2 and "at least 1" in err
+        assert not list(tmp_path.iterdir())
 
     def test_n_max_1(self, capsys, tmp_path):
         code, _, _ = run(["sweep", "--n-max", "1", "-o", str(tmp_path)], capsys)

@@ -204,6 +204,17 @@ class TestGenericInvariant:
         monkeypatch.delenv("WS_DET_BOUND")
         assert det_size_bound() == 8
 
+    def test_bound_must_be_positive_integer(self, monkeypatch):
+        for value in ("abc", "2.5", "0", "-1"):
+            monkeypatch.setenv("WS_DET_BOUND", value)
+            with pytest.raises(InvalidInputError):
+                det_size_bound()
+        monkeypatch.delenv("WS_DET_BOUND")
+        for override in (0, -1):
+            with pytest.raises(InvalidInputError):
+                det_size_bound(override)
+        assert det_size_bound(1) == 1
+
     def test_matches_permutation_oracle(self):
         for parts in [(2, 1, 1, 2), (1, 2, 2, 1), (2, 3, 2)]:
             t = T(*parts)

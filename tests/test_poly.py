@@ -1,3 +1,4 @@
+import gc
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -172,6 +173,18 @@ class TestDet:
         rows[3][7] = (4, 8)
         m = SymbolicMatrix(tuple(tuple(r) for r in rows))
         assert det(m) == 1
+
+    def test_expansion_leaves_no_cyclic_garbage(self):
+        # The expansion's memo must be freed when det returns, not whenever
+        # the cyclic collector next runs.
+        m = random_symbolic_matrix(random.Random(4242), 6, max_vars_per_row=3)
+        gc.collect()
+        gc.disable()
+        try:
+            det(m)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestDivexact:

@@ -124,6 +124,10 @@ class TestNilradical:
         assert nilradical_basis(T(1, 1)) == (MatrixUnit(1, 2),)
         assert nilradical_basis(T(4)) == ()
 
+    def test_basis_built_once_per_tableau(self):
+        t = T(3, 1, 2)
+        assert nilradical_basis(t) is nilradical_basis(t)
+
     def test_dimension_formula_exhaustive(self):
         # dim m == (n^2 - sum n_i^2) / 2
         for parts in compositions_upto(10):

@@ -48,6 +48,39 @@ class TestLinalg:
         m = [[10**9, 1, 0], [1, 10**9, 1], [0, 1, 10**9]]
         assert rank_int(m) == 3
 
+    def test_mapping_rows_match_dense_rows(self):
+        rng = random.Random(20261017)
+        for _ in range(200):
+            cols = rng.randint(1, 8)
+            m = [
+                [rng.choice((0, 0, 0, rng.randint(-6, 6))) for _ in range(cols)]
+                for _ in range(rng.randint(1, 8))
+            ]
+            sparse = [{c: x for c, x in enumerate(row) if x} for row in m]
+            assert rank_int(sparse) == rank_int(m) == rank_fractions(m)
+
+    def test_rank_shapes_against_fraction_oracle(self):
+        rng = random.Random(7)
+        tall = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(40)]
+        wide = [[rng.randint(-3, 3) for _ in range(40)] for _ in range(4)]
+        zeros = [[0] * 5 for _ in range(3)]
+        basis = [[rng.randint(-4, 4) for _ in range(9)] for _ in range(3)]
+        weights = [[rng.randint(-2, 2) for _ in basis] for _ in range(12)]
+        deficient = [
+            [sum(w * b[c] for w, b in zip(ws, basis)) for c in range(9)] for ws in weights
+        ]
+        for m in (tall, wide, zeros, deficient):
+            assert rank_int(m) == rank_fractions(m)
+        assert rank_int(deficient) <= 3
+        assert rank_int(zeros) == 0
+        assert rank_int([]) == 0
+        assert rank_int([{}, {3: 0}]) == 0
+
+    def test_coefficient_growth_as_mapping_rows(self):
+        m = [[10**9, 1, 0], [1, 10**9, 1], [0, 1, 10**9], [1, 1, 1]]
+        sparse = [{c: x for c, x in enumerate(row) if x} for row in m]
+        assert rank_int(sparse) == rank_fractions(m) == 3
+
     def test_unit_differences_inconsistent(self):
         with pytest.raises(InternalError):
             solve_unit_differences(3, [(1, 2), (2, 3), (1, 3)])
@@ -187,6 +220,49 @@ class TestDensity:
             t = T(*parts)
             ok, dim = density_check(t, LS2(t))
             assert ok, (parts, dim)
+
+
+def _derived_bracket_rows(t, ls):
+    """Dense rows of [p', e+v] + V over the nilradical, by n x n matrix products."""
+    n = t.n
+
+    def unit(a, b):
+        m = [[0] * n for _ in range(n)]
+        m[a - 1][b - 1] = 1
+        return m
+
+    def mul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+    point = [[0] * n for _ in range(n)]
+    for ln in ls.lines:
+        point[ln.i - 1][ln.j - 1] = 1
+    derived = [unit(u.i, u.j) for u in nilradical_basis(t)]
+    for col in t.columns:
+        derived += [unit(a, b) for a in col for b in col if a != b]
+        for a, b in zip(col, col[1:]):
+            h = unit(a, a)
+            h[b - 1][b - 1] = -1
+            derived.append(h)
+    coords = [(u.i - 1, u.j - 1) for u in nilradical_basis(t)]
+    rows = []
+    for x in derived:
+        xp, px = mul(x, point), mul(point, x)
+        bracket = [[xp[i][j] - px[i][j] for j in range(n)] for i in range(n)]
+        rows.append([bracket[i][j] for i, j in coords])
+    for ln in ls.zero_lines():
+        rows.append([1 if (i + 1, j + 1) == ln.key else 0 for i, j in coords])
+    return rows
+
+
+class TestDensityRank:
+    def test_dim_matches_fraction_oracle_4444(self):
+        t = T(4, 4, 4, 4)
+        ls = LS2(t)
+        ok, dim = density_check(t, ls)
+        assert len(nilradical_basis(t)) == 96
+        assert dim == rank_fractions(_derived_bracket_rows(t, ls))
+        assert ok and dim == 96
 
 
 class TestCodimOrbit:
