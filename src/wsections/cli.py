@@ -1,10 +1,12 @@
 """Command-line front end: construct | verify | sweep.
 
-verify runs the whole battery for one composition and writes a ws-report/1
-JSON document; sweep maps the same battery over every composition of each
-n <= n_max (lexicographic order, one pure worker call per composition) and
-aggregates.  Oversized generic determinants are recorded as skipped, never
-as failures.  All output is deterministic: sorted keys, stable orderings.
+A thin shell over the library: it parses arguments, writes files and maps
+errors to exit codes.  verify runs the battery (verify.verify_composition)
+for one composition and writes its ws-report/2 JSON document; sweep maps
+the same battery over every composition of each n <= n_max (lexicographic
+order, one pure call per composition) and aggregates.  Oversized generic
+determinants are recorded as skipped, never as failures.  All output is
+deterministic: sorted keys, stable orderings.
 Exit codes: 0 pass, 1 failed check or resource limit, 2 bad input, bad bound
 or unwritable output.
 """
@@ -15,155 +17,13 @@ import json
 import sys
 from pathlib import Path
 
-from . import construction, invariants, render, verify
-from .construction import extract_section, lineset_to_json, step1, step2, step3
-from .errors import (
-    InvalidInputError,
-    InvalidStateError,
-    NilfibreViolationError,
-    OutputError,
-    P1ViolationError,
-    ResourceLimitError,
-    SectionDefectError,
-    WsectionsError,
-)
-from .poly import det
-from .tableau import Composition, build_tableau, compositions, neighboring_pairs, nilradical_basis
+from . import render
+from .construction import lineset_to_json, step1, step2, step3
+from .errors import InvalidInputError, InvalidStateError, OutputError, WsectionsError
+from .tableau import Composition, build_tableau, compositions
+from .verify import REPORT_SCHEMA, verify_composition
 
-REPORT_SCHEMA = "ws-report/1"
 SWEEP_N_MAX = 12
-
-
-def _gap_count(parts: tuple[int, ...]) -> int:
-    heights = sorted(set(parts))
-    return heights[-1] - len(heights)
-
-
-def _extremal_profile(ls: construction.LineSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    has_left = {ln.j for ln in ls.lines}
-    has_right = {ln.i for ln in ls.lines}
-    entries = range(1, ls.tableau.n + 1)
-    return (
-        tuple(e for e in entries if e not in has_left),
-        tuple(e for e in entries if e not in has_right),
-    )
-
-
-def verify_composition(parts: tuple[int, ...], det_bound: int | None = None) -> dict:
-    """Run every check for one composition; pure and deterministic."""
-    comp = Composition(tuple(parts))
-    t = build_tableau(comp)
-    pairs = neighboring_pairs(t)
-    g = len(pairs)
-    dim_m = len(nilradical_basis(t))
-    bound = invariants.det_size_bound(det_bound)
-
-    ls1 = step1(t)
-    ls2 = step2(ls1, construction.RIGHTMOST)
-    ls3 = step3(ls2)
-    sec = extract_section(ls3)
-
-    checks: dict[str, bool] = {}
-    checks["step1_count"] = len(ls1.lines) == comp.n - max(comp.parts)
-    checks["zero_count_is_g"] = len(ls2.zero_lines()) == g
-    checks["one_count"] = len(ls2.one_lines()) == (comp.n - comp.r) - _gap_count(comp.parts)
-    checks["zero_count_stable"] = len(ls3.zero_lines()) == g
-    checks["extremal_boxes"] = _extremal_profile(ls1) == _extremal_profile(ls3)
-
-    pair_reports = []
-    skipped: list[str] = []
-    coords = []
-    all_p1 = all_p2 = True
-    restrictions_ok = True
-    nilfibre_ok = True
-    degrees_ok = True
-    for pair in pairs:
-        ms = invariants.build_minor(t, pair)
-        entry: dict = {
-            "pair": [pair.v, pair.v_prime],
-            "height": pair.s,
-            "size": ms.size,
-            "degree_formula": ms.degree,
-        }
-        try:
-            construction.verify_P1(ls3, pair)
-            entry["p1"] = True
-        except P1ViolationError:
-            entry["p1"] = False
-            all_p1 = False
-        entry["p2"] = entry["p1"] and construction.verify_P2(ls3, pair)
-        if not entry["p2"]:
-            all_p2 = False
-        try:
-            sign, unit = invariants.section_coordinate(ms, sec)
-            entry["restriction"] = str(unit)
-            entry["sign"] = sign
-            coords.append(unit)
-        except SectionDefectError:
-            entry["restriction"] = None
-            entry["sign"] = None
-            restrictions_ok = False
-        try:
-            invariants.restrict_to_E(ms, sec)
-            entry["nilfibre_zero"] = True
-        except NilfibreViolationError:
-            entry["nilfibre_zero"] = False
-            nilfibre_ok = False
-        if ms.size <= bound:
-            invariant = det(ms.matrix).top_term()
-            entry["invariant"] = invariant.to_string()
-            entry["degree_observed"] = invariant.degree()
-            if entry["degree_observed"] != ms.degree:
-                degrees_ok = False
-        else:
-            entry["invariant"] = None
-            entry["degree_observed"] = None
-            skipped.append(f"pair ({pair.v},{pair.v_prime}) size {ms.size}")
-        pair_reports.append(entry)
-
-    checks["p1_all"] = all_p1
-    checks["p2_all"] = all_p2
-    checks["restrictions_distinct_exhaust_v"] = (
-        restrictions_ok and len(set(coords)) == g and set(coords) == set(sec.v)
-    )
-    checks["nilfibre_vanishing"] = nilfibre_ok
-    checks["degrees_match"] = degrees_ok
-
-    separation = {}
-    for mode in (construction.RIGHTMOST, construction.LEFTMOST):
-        ls_mode = ls2 if mode == construction.RIGHTMOST else step2(ls1, mode)
-        rank = verify.separation_rank(t, ls_mode)
-        expected = len(ls_mode.one_lines())
-        separation[mode] = {"rank": rank, "expected": expected, "pass": rank == expected}
-    checks["separation_both_modes"] = all(m["pass"] for m in separation.values())
-
-    dense, dim = verify.density_check(t, ls2)
-    checks["density"] = dense
-
-    grading = verify.grading_element(ls2)
-    checks["grading"] = all(grading.on_line(ln.i, ln.j) == -1 for ln in ls2.lines)
-
-    return {
-        "schema": REPORT_SCHEMA,
-        "composition": list(comp.parts),
-        "n": comp.n,
-        "g": g,
-        "dim_m": dim_m,
-        "lines": {
-            "step1": len(ls1.lines),
-            "zeros": len(ls2.zero_lines()),
-            "ones": len(ls2.one_lines()),
-        },
-        "pairs": pair_reports,
-        "separation": separation,
-        "separation_rank": separation[construction.RIGHTMOST]["rank"],
-        "expected_rank": separation[construction.RIGHTMOST]["expected"],
-        "density": {"dim": dim, "dim_m": dim_m, "pass": dense},
-        "density_dim": dim,
-        "checks": checks,
-        "skipped": skipped,
-        "pass": all(checks.values()),
-    }
 
 
 def _dump_json(payload: dict) -> str:
@@ -303,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidInputError, InvalidStateError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ResourceLimitError, WsectionsError) as exc:
+    except WsectionsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 
 from .errors import (
     InternalError,
@@ -96,9 +97,6 @@ class LineSet:
 
     def one_lines(self) -> tuple[Line, ...]:
         return tuple(ln for ln in self.lines if ln.label == 1)
-
-    def ungated_zero_lines(self) -> tuple[Line, ...]:
-        return tuple(ln for ln in self.lines if ln.label == 0 and not ln.gated)
 
     def describe_stage(self) -> str:
         if self.step == 1:
@@ -268,30 +266,42 @@ def _usable(ln: Line, s: int) -> bool:
     return not ln.gated or (ln.gate_stage is not None and ln.gate_stage > s)
 
 
-def _count_covers(starts, targets_of, limit: int = 2) -> int:
-    """Count ways to pick one target per start, all targets distinct."""
-    order = sorted(starts, key=lambda b: (len(targets_of[b]), b))
-    used: set[int] = set()
-    count = 0
+def _cover(starts, targets_of) -> tuple[int, dict[int, int]]:
+    """(number of covers, capped at 2, and one cover) of the starts into their targets.
 
-    def rec(k: int) -> None:
-        nonlocal count
-        if count >= limit:
-            return
-        if k == len(order):
-            count += 1
-            return
-        b = order[k]
-        for tgt in targets_of[b]:
-            if tgt not in used:
-                used.add(tgt)
-                rec(k + 1)
-                used.remove(tgt)
-                if count >= limit:
-                    return
-
-    rec(0)
-    return count
+    A cover gives every start its own target.  There are as many targets as
+    starts, so a cover is a perfect matching; one is found by augmenting
+    paths walked on an explicit stack, never by recursion.  It is the only
+    one exactly when it has no alternating cycle, that is when the graph
+    sending each start to the owners of its other targets is acyclic.
+    """
+    owner: dict[int, int] = {}
+    for root in starts:
+        seen: set[int] = set()
+        stack = [(root, iter(targets_of[root]))]
+        via: list[int] = []  # via[k] joins stack[k] to stack[k + 1]
+        while stack:
+            tgt = next((x for x in stack[-1][1] if x not in seen), None)
+            if tgt is None:
+                stack.pop()
+                del via[-1:]
+            elif tgt in owner:
+                seen.add(tgt)
+                via.append(tgt)
+                stack.append((owner[tgt], iter(targets_of[owner[tgt]])))
+            else:
+                for (b, _), t in zip(stack, via + [tgt]):
+                    owner[t] = b
+                break
+        else:
+            return 0, {}
+    chosen = {b: t for t, b in owner.items()}
+    others = {b: [owner[t] for t in targets_of[b] if t != chosen[b]] for b in chosen}
+    try:
+        TopologicalSorter(others).prepare()
+    except CycleError:
+        return 2, chosen
+    return 1, chosen
 
 
 def verify_P1(ls: LineSet, pair: NeighborPair) -> CompositeFamily:
@@ -310,25 +320,23 @@ def verify_P1(ls: LineSet, pair: NeighborPair) -> CompositeFamily:
         for b in t.boxes()
         if b.row <= s and v <= b.col <= vp
     }
-    edges: dict[int, list[int]] = {e: [] for e in region}
-    for ln in ls.lines:
-        if ln.i in region and ln.j in region and _usable(ln, s):
-            edges[ln.i].append(ln.j)
-    for outs in edges.values():
-        outs.sort()
-
     sinks = {e for e in region if t.col_of(e) == vp}
     sources = {e for e in region if t.col_of(e) == v}
     starts = sorted(region - sinks)
-    targets_of = {b: edges[b] for b in starts}
+    targets = region - sources
+    targets_of: dict[int, list[int]] = {b: [] for b in starts}
+    for ln in ls.lines:
+        if ln.i in targets_of and ln.j in targets and _usable(ln, s):
+            targets_of[ln.i].append(ln.j)
+    for outs in targets_of.values():
+        outs.sort()
 
-    count = _count_covers(starts, targets_of)
+    count, successor = _cover(starts, targets_of)
     if count == 0:
         raise P1ViolationError(f"no composite family for pair ({v}, {vp})")
     if count > 1:
         raise P1UniquenessError(f"multiple composite families for pair ({v}, {vp})")
 
-    successor = _extract_cover(starts, targets_of)
     paths = []
     for source in sorted(sources, key=t.row_of):
         path = [source]
@@ -344,33 +352,8 @@ def verify_P1(ls: LineSet, pair: NeighborPair) -> CompositeFamily:
     return CompositeFamily(sigma=sigma, paths=tuple(paths))
 
 
-def _extract_cover(starts, targets_of) -> dict[int, int]:
-    order = sorted(starts, key=lambda b: (len(targets_of[b]), b))
-    used: set[int] = set()
-    chosen: dict[int, int] = {}
-
-    def rec(k: int) -> bool:
-        if k == len(order):
-            return True
-        b = order[k]
-        for tgt in targets_of[b]:
-            if tgt not in used:
-                used.add(tgt)
-                chosen[b] = tgt
-                if rec(k + 1):
-                    return True
-                used.remove(tgt)
-                del chosen[b]
-        return False
-
-    if not rec(0):
-        raise InternalError("cover extraction failed after counting succeeded")
-    return chosen
-
-
-def verify_P2(ls: LineSet, pair: NeighborPair) -> bool:
-    """True iff the pair's composite family uses exactly one 0-labelled line."""
-    family = verify_P1(ls, pair)
+def verify_P2(ls: LineSet, family: CompositeFamily) -> bool:
+    """True iff a composite family found by verify_P1 uses exactly one 0-labelled line."""
     zeros = sum(1 for a, b in family.edges() if ls.line_map[(a, b)].label == 0)
     return zeros == 1
 

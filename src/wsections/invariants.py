@@ -119,24 +119,21 @@ def build_minor(t: Tableau, pair: NeighborPair) -> MinorSpec:
     )
 
 
+def _specialise(ms: MinorSpec, ones: set, kept: set) -> Polynomial:
+    """Determinant with 1 on the cells in ones, those in kept symbolic, 0 elsewhere."""
+    rows = tuple(
+        tuple(
+            cell if isinstance(cell, int) or cell in kept else int(cell in ones)
+            for cell in row
+        )
+        for row in ms.matrix.rows
+    )
+    return det(SymbolicMatrix(rows))
+
+
 def restrict_to_section(ms: MinorSpec, sec: Section) -> Polynomial:
     """Determinant with 1 on the e-coordinates, V kept symbolic, 0 elsewhere."""
-    e_keys = {u.key for u in sec.e}
-    v_keys = {u.key for u in sec.v}
-    rows = []
-    for row in ms.matrix.rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, int):
-                cells.append(cell)
-            elif cell in e_keys:
-                cells.append(1)
-            elif cell in v_keys:
-                cells.append(cell)
-            else:
-                cells.append(0)
-        rows.append(tuple(cells))
-    return det(SymbolicMatrix(tuple(rows)))
+    return _specialise(ms, {u.key for u in sec.e}, {u.key for u in sec.v})
 
 
 def section_coordinate(ms: MinorSpec, sec: Section) -> tuple[int, MatrixUnit]:
@@ -161,17 +158,7 @@ def section_coordinate(ms: MinorSpec, sec: Section) -> tuple[int, MatrixUnit]:
 
 def restrict_to_E(ms: MinorSpec, sec: Section) -> Polynomial:
     """Determinant with 1 on e and 0 on everything else; must be zero."""
-    e_keys = {u.key for u in sec.e}
-    rows = []
-    for row in ms.matrix.rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, int):
-                cells.append(cell)
-            else:
-                cells.append(1 if cell in e_keys else 0)
-        rows.append(tuple(cells))
-    result = det(SymbolicMatrix(tuple(rows)))
+    result = _specialise(ms, {u.key for u in sec.e}, set())
     if not result.is_zero():
         raise NilfibreViolationError(
             f"pair ({ms.pair.v}, {ms.pair.v_prime}) does not vanish on e: {result}"
@@ -179,38 +166,15 @@ def restrict_to_E(ms: MinorSpec, sec: Section) -> Polynomial:
     return result
 
 
-def generic_invariant(
-    t: Tableau, pair: NeighborPair, size_bound: int | None = None
-) -> Polynomial:
-    """Top term of the fully generic translated minor determinant."""
-    ms = build_minor(t, pair)
-    bound = det_size_bound(size_bound)
+def generic_invariant(ms: MinorSpec, bound: int | None = None) -> Polynomial:
+    """Top term of the fully generic translated minor determinant.
+
+    bound is a resolved size bound; None resolves it with det_size_bound().
+    """
+    if bound is None:
+        bound = det_size_bound()
     if ms.size > bound:
         raise ResourceLimitError(
             f"minor size {ms.size} exceeds determinant bound {bound}"
         )
     return det(ms.matrix).top_term()
-
-
-def count_section_permutations(ms: MinorSpec, sec: Section) -> int:
-    """Permutations contributing a nonzero monomial to the restricted minor.
-
-    Brute force over all permutations; only sensible for small sizes.
-    """
-    e_keys = {u.key for u in sec.e}
-    v_keys = {u.key for u in sec.v}
-    m = ms.size
-
-    def nonzero(r: int, c: int) -> bool:
-        cell = ms.matrix.rows[r][c]
-        if isinstance(cell, int):
-            return cell != 0
-        return cell in e_keys or cell in v_keys
-
-    from itertools import permutations
-
-    count = 0
-    for perm in permutations(range(m)):
-        if all(nonzero(r, perm[r]) for r in range(m)):
-            count += 1
-    return count

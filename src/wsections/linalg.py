@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: rank, triangular-minor witnesses, unit differences.
+"""Exact integer linear algebra: the rank over Q and unit-difference systems.
 
 The rank is a sparse fraction-free elimination over the integers, so its cost
 follows the nonzeros; with no modulus and no floats it is exact over Q.
@@ -44,37 +44,6 @@ def rank_int(rows: Iterable[Sequence[int] | Mapping[int, int]]) -> int:
             if content > 1:
                 r = {c: x // content for c, x in r.items()}
     return len(pivots)
-
-
-def triangular_unimodular_witness(
-    rows: Sequence[Sequence[int]],
-) -> list[tuple[int, int]] | None:
-    """Row/column pairing making a full-row-rank minor triangular with +-1 diagonal.
-
-    Repeatedly peel a column whose support among the remaining rows is a
-    single +-1 entry; backtrack over peeling choices when the greedy order
-    stalls.  Returns the (row, column) diagonal in peeling order, or None.
-    """
-    nrows = len(rows)
-    if nrows == 0:
-        return []
-    ncols = len(rows[0])
-
-    def peel(alive_rows: frozenset[int], alive_cols: frozenset[int]):
-        if not alive_rows:
-            return []
-        candidates = []
-        for c in alive_cols:
-            support = [r for r in alive_rows if rows[r][c] != 0]
-            if len(support) == 1 and rows[support[0]][c] in (1, -1):
-                candidates.append((support[0], c))
-        for r, c in candidates:
-            rest = peel(alive_rows - {r}, alive_cols - {c})
-            if rest is not None:
-                return [(r, c)] + rest
-        return None
-
-    return peel(frozenset(range(nrows)), frozenset(range(ncols)))
 
 
 def solve_unit_differences(n: int, constraints: Sequence[tuple[int, int]]) -> tuple[int, ...]:

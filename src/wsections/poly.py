@@ -124,37 +124,6 @@ class Polynomial:
             return -1
         return max(sum(e for _, e in m) for m in self.terms)
 
-    def variables(self) -> set[Var]:
-        return {v for m in self.terms for v, _ in m}
-
-    def substitute(self, assignment: Mapping[Var, "int | Var"]) -> "Polynomial":
-        """Exact substitution of integers or variables; others persist."""
-        out: dict[Monomial, int] = {}
-        for mono, coeff in self.terms.items():
-            c = coeff
-            powers: dict[Var, int] = {}
-            for var, exp in mono:
-                if var in assignment:
-                    value = assignment[var]
-                    if isinstance(value, int):
-                        c *= value ** exp
-                        if c == 0:
-                            break
-                    else:
-                        value = tuple(value)
-                        powers[value] = powers.get(value, 0) + exp
-                else:
-                    powers[var] = powers.get(var, 0) + exp
-            if c == 0:
-                continue
-            m = _make_monomial(powers)
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Polynomial(out)
-
     def top_term(self) -> "Polynomial":
         """Homogeneous component of maximal total degree."""
         if not self.terms:
@@ -267,18 +236,6 @@ class SymbolicMatrix:
     @property
     def size(self) -> int:
         return len(self.rows)
-
-    def substitute(self, assignment: Mapping[Var, "int | Var"]) -> "SymbolicMatrix":
-        rows = []
-        for row in self.rows:
-            cells = []
-            for cell in row:
-                if not isinstance(cell, int) and cell in assignment:
-                    cells.append(assignment[cell])
-                else:
-                    cells.append(cell)
-            rows.append(tuple(cells))
-        return SymbolicMatrix(tuple(rows))
 
     def entry_poly(self, r: int, c: int) -> Polynomial:
         cell = self.rows[r][c]
@@ -400,11 +357,3 @@ def _pick_pivot(a: list[list[Polynomial]], k: int) -> int | None:
         if best_key is None or key < best_key:
             best, best_key = i, key
     return best
-
-
-def substitute(p: Polynomial, assignment: Mapping[Var, "int | Var"]) -> Polynomial:
-    return p.substitute(assignment)
-
-
-def top_term(p: Polynomial) -> Polynomial:
-    return p.top_term()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 
 
 @dataclass(frozen=True, order=True)
@@ -55,11 +55,10 @@ class Composition:
     @classmethod
     def parse(cls, text: str) -> "Composition":
         """Parse comma-separated positive decimal integers, e.g. "2,1,1,2"."""
-        try:
-            parts = tuple(int(piece.strip()) for piece in text.split(","))
-        except ValueError as exc:
-            raise InvalidInputError(f"cannot parse composition from {text!r}") from exc
-        return cls(parts)
+        pieces = [piece.strip() for piece in text.split(",")]
+        if not all(piece.isascii() and piece.isdigit() for piece in pieces):
+            raise InvalidInputError(f"cannot parse composition from {text!r}")
+        return cls(tuple(int(piece) for piece in pieces))
 
     @property
     def n(self) -> int:
@@ -95,11 +94,18 @@ class NeighborPair:
     s: int
 
 
+MAX_N = 10_000
+
+
 @dataclass(frozen=True)
 class Tableau:
-    """Numbered diagram of a composition."""
+    """Numbered diagram of a composition of n <= MAX_N."""
 
     composition: Composition
+
+    def __post_init__(self) -> None:
+        if self.composition.n > MAX_N:
+            raise ResourceLimitError(f"n = {self.composition.n} exceeds the limit {MAX_N}")
 
     @property
     def n(self) -> int:
@@ -201,11 +207,6 @@ def is_neighboring(t: Tableau, p: NeighborPair) -> bool:
 def require_neighboring(t: Tableau, p: NeighborPair) -> None:
     if not is_neighboring(t, p):
         raise InvalidInputError(f"({p.v}, {p.v_prime}) is not a neighboring pair of height {p.s}")
-
-
-def in_nilradical(t: Tableau, u: MatrixUnit) -> bool:
-    """True iff the column of entry i is strictly left of the column of j."""
-    return t.col_of(u.i) < t.col_of(u.j)
 
 
 def nilradical_basis(t: Tableau) -> tuple[MatrixUnit, ...]:

@@ -1,25 +1,38 @@
-"""Root-lattice checks: weights, separation, grading, orbit dimensions.
+"""The check battery, and the root-lattice checks it runs.
 
-Weights live over the simple roots a_1 .. a_{n-1}; the line from entry i to
-entry j has weight a_i + ... + a_{j-1}.  Separation asks for the weights of
-the 1-labelled horizontal lines to stay independent when paired against the
-coroots indexed by the tableau minus the lowest box of every column.  The
-orbit computations (density included) run the adjoint action of a basis of
-the relevant algebra on an explicit point and hand the brackets, as sparse
-rows over the nilradical coordinates, to the exact integer rank; nothing is
-floated.
+verify_composition runs every check for one composition on the step-3
+section e + V (and on the step-2 labelling it comes from) and returns its
+ws-report/2 document.  Weights live over the simple roots a_1 .. a_{n-1};
+the line from entry i to entry j has weight a_i + ... + a_{j-1}.  Separation
+asks for the weights of the 1-labelled horizontal lines to stay independent
+when paired against the coroots indexed by the tableau minus the lowest box
+of every column.  The orbit computations (density included) run the adjoint
+action of a basis of the relevant algebra on an explicit point and hand the
+brackets, as sparse rows over the nilradical coordinates, to the exact
+integer rank; nothing is floated.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .construction import Line, LineSet
-from .errors import InternalError, InvalidInputError, InvalidStateError
+from . import construction, invariants
+from .construction import Line, LineSet, extract_section, step1, step2, step3
+from .errors import (
+    InvalidInputError,
+    InvalidStateError,
+    NilfibreViolationError,
+    P1ViolationError,
+    ResourceLimitError,
+    SectionDefectError,
+)
 from .linalg import rank_int, solve_unit_differences
 from .tableau import MatrixUnit, Tableau, nilradical_basis
+from .tableau import Composition, build_tableau, neighboring_pairs
 
 Weight = tuple[int, ...]
+
+REPORT_SCHEMA = "ws-report/2"
 
 GROUP_FULL = "P"
 GROUP_DERIVED = "P'"
@@ -39,17 +52,6 @@ def coroot_pairing(w: Weight, k: int) -> int:
     left = w[k - 2] if k >= 2 else 0
     right = w[k] if k < n1 else 0
     return 2 * w[k - 1] - left - right
-
-
-def weight_inner(a: tuple[int, int], b: tuple[int, int]) -> int:
-    """Cartan inner product of two line weights via their endpoints."""
-    (i, j), (k, l) = a, b
-    return (
-        (1 if i == k else 0)
-        - (1 if i == l else 0)
-        - (1 if j == k else 0)
-        + (1 if j == l else 0)
-    )
 
 
 @dataclass(frozen=True)
@@ -87,34 +89,6 @@ def separation_matrix(t: Tableau, ls: LineSet) -> SeparationMatrix:
 def separation_rank(t: Tableau, ls: LineSet) -> int:
     """Exact rank of the separation matrix; the contract is rank == #1-lines."""
     return rank_int(separation_matrix(t, ls).rows)
-
-
-def root_system_type(ls: LineSet) -> tuple[int, ...]:
-    """Ranks of the type-A components spanned by the horizontal line weights.
-
-    Row u with m boxes contributes a component of rank m - 1.  The claimed
-    block structure is re-derived from the Cartan gram matrix and an exact
-    independence check before being returned.
-    """
-    _require_step2(ls)
-    t = ls.tableau
-    expected = sorted(
-        (len(t.row_entries(u)) - 1 for u in range(1, t.height + 1) if len(t.row_entries(u)) >= 2),
-        reverse=True,
-    )
-    lines = ls.lines
-    for a in range(len(lines)):
-        for b in range(a + 1, len(lines)):
-            la, lb = lines[a], lines[b]
-            inner = weight_inner(la.key, lb.key)
-            shares = len({la.i, la.j} & {lb.i, lb.j})
-            want = -1 if shares == 1 else 0
-            if inner != want:
-                raise InternalError("horizontal line weights have unexpected pairings")
-    weights = [line_weight(t, ln) for ln in lines]
-    if weights and rank_int(weights) != len(weights):
-        raise InternalError("horizontal line weights are not independent")
-    return tuple(expected)
 
 
 @dataclass(frozen=True)
@@ -227,3 +201,123 @@ def codim_orbit(
     vectors = [_bracket_with_point(x, pt) for x in _algebra_basis(t, group)]
     dim_m = len(nilradical_basis(t))
     return dim_m - _span_dimension(t, vectors)
+
+
+def _gap_count(parts: tuple[int, ...]) -> int:
+    heights = sorted(set(parts))
+    return heights[-1] - len(heights)
+
+
+def _extremal_profile(ls: LineSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    has_left = {ln.j for ln in ls.lines}
+    has_right = {ln.i for ln in ls.lines}
+    entries = range(1, ls.tableau.n + 1)
+    return (
+        tuple(e for e in entries if e not in has_left),
+        tuple(e for e in entries if e not in has_right),
+    )
+
+
+def verify_composition(parts: tuple[int, ...], det_bound: int | None = None) -> dict:
+    """Run every check for one composition; return its ws-report/2 document.
+
+    Pure and deterministic.  A generic determinant above the size bound is
+    recorded under "skipped", never as a failure.
+    """
+    comp = Composition(tuple(parts))
+    t = build_tableau(comp)
+    pairs = neighboring_pairs(t)
+    g = len(pairs)
+    dim_m = len(nilradical_basis(t))
+    bound = invariants.det_size_bound(det_bound)
+
+    ls1 = step1(t)
+    ls2 = step2(ls1, construction.RIGHTMOST)
+    ls3 = step3(ls2)
+    sec = extract_section(ls3)
+
+    checks: dict[str, bool] = {}
+    checks["step1_count"] = len(ls1.lines) == comp.n - max(comp.parts)
+    checks["zero_count_is_g"] = len(ls2.zero_lines()) == g
+    checks["one_count"] = len(ls2.one_lines()) == (comp.n - comp.r) - _gap_count(comp.parts)
+    checks["zero_count_stable"] = len(ls3.zero_lines()) == g
+    checks["extremal_boxes"] = _extremal_profile(ls1) == _extremal_profile(ls3)
+
+    pair_reports = []
+    skipped: list[str] = []
+    coords = []
+    for pair in pairs:
+        ms = invariants.build_minor(t, pair)
+        entry: dict = {
+            "pair": [pair.v, pair.v_prime],
+            "height": pair.s,
+            "size": ms.size,
+            "degree_formula": ms.degree,
+        }
+        try:
+            entry["p2"] = construction.verify_P2(ls3, construction.verify_P1(ls3, pair))
+            entry["p1"] = True
+        except P1ViolationError:
+            entry["p1"] = entry["p2"] = False
+        try:
+            entry["sign"], unit = invariants.section_coordinate(ms, sec)
+            entry["restriction"] = str(unit)
+            coords.append(unit)
+        except SectionDefectError:
+            entry["sign"] = entry["restriction"] = None
+        try:
+            invariants.restrict_to_E(ms, sec)
+            entry["nilfibre_zero"] = True
+        except NilfibreViolationError:
+            entry["nilfibre_zero"] = False
+        try:
+            invariant = invariants.generic_invariant(ms, bound)
+            entry["invariant"] = invariant.to_string()
+            entry["degree_observed"] = invariant.degree()
+        except ResourceLimitError:
+            entry["invariant"] = entry["degree_observed"] = None
+            skipped.append(f"pair ({pair.v},{pair.v_prime}) size {ms.size}")
+        pair_reports.append(entry)
+
+    checks["p1_all"] = all(p["p1"] for p in pair_reports)
+    checks["p2_all"] = all(p["p2"] for p in pair_reports)
+    checks["restrictions_distinct_exhaust_v"] = (
+        len(coords) == len(set(coords)) == g and set(coords) == set(sec.v)
+    )
+    checks["nilfibre_vanishing"] = all(p["nilfibre_zero"] for p in pair_reports)
+    checks["degrees_match"] = all(
+        p["degree_observed"] in (None, p["degree_formula"]) for p in pair_reports
+    )
+
+    separation = {}
+    for mode in (construction.RIGHTMOST, construction.LEFTMOST):
+        ls_mode = ls2 if mode == construction.RIGHTMOST else step2(ls1, mode)
+        rank = separation_rank(t, ls_mode)
+        expected = len(ls_mode.one_lines())
+        separation[mode] = {"rank": rank, "expected": expected, "pass": rank == expected}
+    checks["separation_both_modes"] = all(m["pass"] for m in separation.values())
+
+    dense, dim = density_check(t, ls2)
+    checks["density"] = dense
+
+    grading = grading_element(ls2)
+    checks["grading"] = all(grading.on_line(ln.i, ln.j) == -1 for ln in ls2.lines)
+
+    return {
+        "schema": REPORT_SCHEMA,
+        "composition": list(comp.parts),
+        "n": comp.n,
+        "g": g,
+        "dim_m": dim_m,
+        "lines": {
+            "step1": len(ls1.lines),
+            "zeros": len(ls2.zero_lines()),
+            "ones": len(ls2.one_lines()),
+        },
+        "pairs": pair_reports,
+        "separation": separation,
+        "density": {"dim": dim, "pass": dense},
+        "checks": checks,
+        "skipped": skipped,
+        "pass": all(checks.values()),
+    }

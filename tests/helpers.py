@@ -2,7 +2,8 @@
 
 Everything here recomputes expected values by a different route than the
 package: determinants by full permutation expansion, ranks by Gaussian
-elimination over fractions.
+elimination over fractions, composite-line covers by recursive backtracking,
+restrictions by substituting into the expanded polynomial.
 """
 from __future__ import annotations
 
@@ -93,3 +94,115 @@ def compositions_upto(n_max: int):
 
     for n in range(1, n_max + 1):
         yield from compositions(n)
+
+
+def in_nilradical(t, u) -> bool:
+    """True iff the column of entry i is strictly left of the column of j."""
+    return t.col_of(u.i) < t.col_of(u.j)
+
+
+def ungated_zero_lines(ls):
+    return tuple(ln for ln in ls.lines if ln.label == 0 and not ln.gated)
+
+
+def substitute(p: Polynomial, assignment) -> Polynomial:
+    """Exact substitution of integers or variables into p; others persist."""
+    out = Polynomial.zero()
+    for mono, coeff in p.terms.items():
+        term = Polynomial.const(coeff)
+        for var, exp in mono:
+            value = assignment.get(var, var)
+            term = term * (value if isinstance(value, int) else Polynomial.variable(value)) ** exp
+        out = out + term
+    return out
+
+
+def backtracking_cover(starts, targets_of):
+    """(number of covers, capped at 2, and one cover) by recursive backtracking.
+
+    The reference for construction's matching: every start picks a distinct
+    target, tried sparsest start first.
+    """
+    order = sorted(starts, key=lambda b: (len(targets_of[b]), b))
+    used: set[int] = set()
+    chosen: dict[int, int] = {}
+    found: list[dict[int, int]] = []
+
+    def rec(k: int) -> None:
+        if k == len(order):
+            found.append(dict(chosen))
+            return
+        b = order[k]
+        for tgt in targets_of[b]:
+            if tgt not in used and len(found) < 2:
+                used.add(tgt)
+                chosen[b] = tgt
+                rec(k + 1)
+                used.remove(tgt)
+                del chosen[b]
+
+    rec(0)
+    return len(found), (found[0] if found else {})
+
+
+def count_section_permutations(ms, sec) -> int:
+    """Permutations contributing a nonzero monomial to the restricted minor.
+
+    Brute force over all permutations; only sensible for small sizes.
+    """
+    allowed = {u.key for u in sec.e} | {u.key for u in sec.v}
+    ok = [[c != 0 if isinstance(c, int) else c in allowed for c in row] for row in ms.matrix.rows]
+    return sum(all(ok[r][c] for r, c in enumerate(p)) for p in permutations(range(ms.size)))
+
+
+def triangular_unimodular_witness(rows):
+    """Row/column pairing making a full-row-rank minor triangular with +-1 diagonal.
+
+    Repeatedly peel a column whose support among the remaining rows is a
+    single +-1 entry; backtrack over peeling choices when the greedy order
+    stalls.  Returns the (row, column) diagonal in peeling order, or None.
+    """
+    if not rows:
+        return []
+
+    def peel(alive_rows: frozenset[int], alive_cols: frozenset[int]):
+        if not alive_rows:
+            return []
+        for c in alive_cols:
+            support = [r for r in alive_rows if rows[r][c] != 0]
+            if len(support) == 1 and rows[support[0]][c] in (1, -1):
+                rest = peel(alive_rows - {support[0]}, alive_cols - {c})
+                if rest is not None:
+                    return [(support[0], c)] + rest
+        return None
+
+    return peel(frozenset(range(len(rows))), frozenset(range(len(rows[0]))))
+
+
+def weight_inner(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Cartan inner product of two line weights via their endpoints."""
+    (i, j), (k, l) = a, b
+    return (i == k) - (i == l) - (j == k) + (j == l)
+
+
+def root_system_type(ls) -> tuple[int, ...]:
+    """Ranks of the type-A components spanned by the horizontal line weights.
+
+    Row u with m boxes contributes a component of rank m - 1.  The claimed
+    block structure is re-derived from the Cartan gram matrix and an exact
+    independence check before being returned.
+    """
+    from wsections.verify import line_weight
+
+    assert ls.step == 2
+    t = ls.tableau
+    lines = ls.lines
+    for a in range(len(lines)):
+        for b in range(a + 1, len(lines)):
+            la, lb = lines[a], lines[b]
+            shares = len({la.i, la.j} & {lb.i, lb.j})
+            assert weight_inner(la.key, lb.key) == (-1 if shares == 1 else 0)
+    weights = [line_weight(t, ln) for ln in lines]
+    assert rank_fractions(weights) == len(weights)
+    rows = (len(t.row_entries(u)) for u in range(1, t.height + 1))
+    return tuple(sorted((m - 1 for m in rows if m >= 2), reverse=True))

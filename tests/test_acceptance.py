@@ -8,18 +8,14 @@ import time
 
 import pytest
 
-from helpers import compositions_upto, det_permutation_expansion, random_symbolic_matrix
-from wsections.construction import (
-    LEFTMOST,
-    RIGHTMOST,
-    extract_section,
-    step1,
-    step2,
-    step3,
-    verify_P1,
-    verify_P2,
+from helpers import (
+    compositions_upto,
+    det_permutation_expansion,
+    random_symbolic_matrix,
+    ungated_zero_lines,
 )
-from wsections.invariants import build_minor, restrict_to_E, section_coordinate
+from wsections.construction import RIGHTMOST, extract_section, step1, step2, step3, verify_P1
+from wsections.invariants import build_minor, generic_invariant, section_coordinate
 from wsections.poly import Polynomial, det
 from wsections.tableau import (
     Composition,
@@ -27,10 +23,9 @@ from wsections.tableau import (
     NeighborPair,
     bs_degree,
     build_tableau,
-    compositions,
     neighboring_pairs,
 )
-from wsections.verify import codim_orbit, density_check, separation_rank
+from wsections.verify import codim_orbit, verify_composition
 
 X = Polynomial.x
 
@@ -74,8 +69,6 @@ def test_criterion_1_golden_2112():
 def test_criterion_2_golden_1221():
     started = time.monotonic()
     t = T(1, 2, 2, 1)
-    from wsections.invariants import generic_invariant
-
     quadratic = X(2, 4) * X(3, 5) - X(2, 5) * X(3, 4)
     cubic = (
         X(1, 2) * X(2, 4) * X(4, 6)
@@ -83,8 +76,8 @@ def test_criterion_2_golden_1221():
         + X(1, 2) * X(2, 5) * X(5, 6)
         + X(1, 3) * X(3, 5) * X(5, 6)
     )
-    got_quad = generic_invariant(t, NeighborPair(2, 3, 2))
-    got_cubic = generic_invariant(t, NeighborPair(1, 4, 1))
+    got_quad = generic_invariant(build_minor(t, NeighborPair(2, 3, 2)))
+    got_cubic = generic_invariant(build_minor(t, NeighborPair(1, 4, 1)))
     assert got_quad == quadratic or got_quad == -quadratic
     assert got_cubic == cubic or got_cubic == -cubic
 
@@ -108,7 +101,7 @@ def test_criterion_3_golden_321123_figure():
     assert sorted(ln.key for ln in ls.one_lines()) == [
         (1, 4), (2, 5), (3, 9), (4, 6), (5, 7), (7, 8), (8, 10), (9, 11),
     ]
-    assert [ln.key for ln in ls.ungated_zero_lines()] == [(6, 12)]
+    assert [ln.key for ln in ungated_zero_lines(ls)] == [(6, 12)]
     gated = {ln.key: ln.gate_stage for ln in ls.zero_lines() if ln.gated}
     assert gated == {(6, 7): 2, (6, 9): 3}
     report("criterion 3 (golden 3,2,1,1,2,3 final diagram)", started)
@@ -126,32 +119,21 @@ def test_criterion_4_wide_array_stage2():
     report("criterion 4 (wide array, P1 through stage 2)", started)
 
 
+CHECKS = {
+    "step1_count", "zero_count_is_g", "one_count", "zero_count_stable", "extremal_boxes",
+    "p1_all", "p2_all", "restrictions_distinct_exhaust_v", "nilfibre_vanishing",
+    "degrees_match", "separation_both_modes", "density", "grading",
+}
+
+
 def test_criterion_5_exhaustive_sweep():
     started = time.monotonic()
     checked = 0
     for parts in compositions_upto(9):
-        t = T(*parts)
-        pairs = neighboring_pairs(t)
-        g = len(pairs)
-        ls1 = step1(t)
-        assert len(ls1.lines) == sum(parts) - max(parts)  # (b)
-        ls2 = step2(ls1, RIGHTMOST)
-        assert len(ls2.zero_lines()) == g  # (a)
-        ls3 = step3(ls2)
-        sec = extract_section(ls3)
-        coords = set()
-        for pair in pairs:
-            assert verify_P2(ls3, pair)  # (c)
-            ms = build_minor(t, pair)
-            _, unit = section_coordinate(ms, sec)  # (d)
-            coords.add(unit)
-            restrict_to_E(ms, sec)  # (e) raises when nonzero
-        assert coords == set(sec.v) and len(coords) == g  # (d)
-        for mode in (RIGHTMOST, LEFTMOST):
-            ls_mode = ls2 if mode == RIGHTMOST else step2(ls1, mode)
-            assert separation_rank(t, ls_mode) == len(ls_mode.one_lines())  # (f)
-        ok, _ = density_check(t, ls2)
-        assert ok  # (g)
+        result = verify_composition(parts)
+        assert set(result["checks"]) == CHECKS
+        assert all(result["checks"].values()), (parts, result["checks"])
+        assert result["skipped"] == [] and result["pass"] is True
         checked += 1
     assert checked == 511  # all compositions for n <= 9
     elapsed = time.monotonic() - started

@@ -58,11 +58,23 @@ class TestConstruct:
         assert code == 0
         assert out.startswith("<svg ") and out.rstrip().endswith("</svg>")
 
-    def test_parse_error_exit_2(self, capsys):
+    def test_parse_error_exit_2(self, capsys, tmp_path):
         code, _, err = run(["construct", "-c", "2,x"], capsys)
         assert code == 2 and "error" in err
         code, _, err = run(["construct", "-c", "0,1"], capsys)
         assert code == 2
+        for text in ("1_0", "+3", "2,\u0663", "\uff12"):
+            for command in ("construct", "verify"):
+                code, _, err = run([command, "-c", text, "-o", str(tmp_path)], capsys)
+                assert code == 2 and "cannot parse" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_oversized_composition_exit_1(self, capsys, tmp_path):
+        for text in ("99999999999999999999", "10001"):
+            for command in ("construct", "verify"):
+                code, _, err = run([command, "-c", text, "-o", str(tmp_path)], capsys)
+                assert code == 1 and err.startswith("error: n = ") and "limit" in err
+        assert not list(tmp_path.iterdir())
 
     def test_leftmost_stage3_rejected(self, capsys):
         code, _, err = run(
@@ -79,7 +91,7 @@ class TestVerify:
         assert code == 0
         assert "pass" in out
         report = json.loads((tmp_path / "verify-2-1-1-2.json").read_text())
-        assert report["schema"] == "ws-report/1"
+        assert report["schema"] == "ws-report/2"
         assert report["pass"] is True
         assert report["g"] == 2 and report["dim_m"] == 13
         restrictions = {p["restriction"] for p in report["pairs"]}
@@ -151,7 +163,7 @@ class TestVerify:
 
     def test_failure_exit_1(self, capsys, tmp_path, monkeypatch):
         broken = {
-            "schema": "ws-report/1",
+            "schema": "ws-report/2",
             "composition": [2],
             "g": 0,
             "dim_m": 0,

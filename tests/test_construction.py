@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 
-from helpers import compositions_upto
+from helpers import backtracking_cover, compositions_upto, ungated_zero_lines
+from wsections import construction
 from wsections.construction import (
     LEFTMOST,
     RIGHTMOST,
@@ -136,7 +138,7 @@ class TestStep3:
         assert keys(ls.one_lines()) == [
             (1, 4), (2, 5), (3, 9), (4, 6), (5, 7), (7, 8), (8, 10), (9, 11),
         ]
-        assert keys(ls.ungated_zero_lines()) == [(6, 12)]
+        assert keys(ungated_zero_lines(ls)) == [(6, 12)]
         gated = {ln.key: ln.gate_stage for ln in ls.zero_lines() if ln.gated}
         assert gated == {(6, 7): 2, (6, 9): 3}
 
@@ -160,7 +162,7 @@ class TestStep3:
     def test_golden_21112_shared_box_chains(self):
         ls = step3(step2(step1(T(2, 1, 1, 1, 2))))
         assert keys(ls.one_lines()) == [(1, 3), (2, 4), (3, 5), (5, 6)]
-        assert keys(ls.ungated_zero_lines()) == [(4, 7)]
+        assert keys(ungated_zero_lines(ls)) == [(4, 7)]
         assert {ln.key for ln in ls.zero_lines() if ln.gated} == {(3, 4), (4, 5)}
 
     def test_figure1_stage2(self):
@@ -233,21 +235,21 @@ class TestP1P2:
         pair = NeighborPair(1, 4, 2)
         fam = verify_P1(ls2, pair)
         assert fam.paths == ((1, 3, 4, 5), (2, 6))
-        assert verify_P2(ls2, pair) is False
+        assert verify_P2(ls2, fam) is False
 
     def test_trivial_pair(self):
         t = T(1, 1)
         ls = step3(step2(step1(t)))
         fam = verify_P1(ls, NeighborPair(1, 2, 1))
         assert fam.paths == ((1, 2),) and fam.sigma == (1,)
-        assert verify_P2(ls, NeighborPair(1, 2, 1))
+        assert verify_P2(ls, fam)
 
     def test_p1_and_p2_hold_everywhere_after_step3(self):
         for parts in compositions_upto(8):
             t = T(*parts)
             ls = step3(step2(step1(t)))
             for pair in neighboring_pairs(t):
-                assert verify_P2(ls, pair)
+                assert verify_P2(ls, verify_P1(ls, pair))
 
     def test_missing_line_raises_violation(self):
         t = T(1, 1)
@@ -263,6 +265,51 @@ class TestP1P2:
         ls = LineSet(t, lines, step=2, mode=RIGHTMOST)
         with pytest.raises(P1UniquenessError):
             verify_P1(ls, NeighborPair(1, 2, 2))
+
+    def test_matches_backtracking_oracle(self, monkeypatch):
+        # Steps 2 and 3 of every composition with n <= 8, plus step 3 with one
+        # line dropped (no family) or with the step-2 lines restored (several
+        # families), so that every outcome is compared.
+        def outcome(ls, pair):
+            try:
+                return verify_P1(ls, pair)
+            except P1ViolationError as exc:
+                return type(exc)
+
+        cases = []
+        for parts in compositions_upto(8):
+            t = T(*parts)
+            ls2 = step2(step1(t))
+            ls3 = step3(ls2)
+            added = tuple(ln for ln in ls3.lines if ln.key not in ls2.line_map)
+            sets = [ls2, ls3, LineSet(t, ls2.lines + added, step=3)]
+            dropped = [ls3.lines[:k] + ls3.lines[k + 1 :] for k in range(len(ls3.lines))]
+            sets += [LineSet(t, lines, step=3) for lines in dropped]
+            cases += [(ls, pair) for ls in sets for pair in neighboring_pairs(t)]
+        got = [outcome(ls, pair) for ls, pair in cases]
+        assert {P1ViolationError, P1UniquenessError} <= set(got)
+        monkeypatch.setattr(construction, "_cover", backtracking_cover)
+        assert got == [outcome(ls, pair) for ls, pair in cases]
+
+    def test_cover_matches_backtracking_on_random_graphs(self):
+        rng = random.Random(2024)
+        for _ in range(2000):
+            k = rng.randint(1, 7)
+            starts = list(range(k))
+            targets_of = {
+                b: sorted(rng.sample(range(k, 2 * k), rng.randint(1, min(k, 3)))) for b in starts
+            }
+            count, cover = construction._cover(starts, targets_of)
+            assert count == backtracking_cover(starts, targets_of)[0]
+            if count:
+                assert len(set(cover.values())) == k
+                assert all(cover[b] in targets_of[b] for b in starts)
+
+    def test_long_region_needs_no_recursion(self):
+        # 1050 starts: a recursive search overflows the interpreter stack.
+        t = T(30, *[31] * 34, 30)
+        fam = verify_P1(step3(step2(step1(t))), NeighborPair(1, 36, 30))
+        assert len(fam.paths) == 30 and len(fam.edges()) == 30 * 35
 
     def test_gated_lines_serve_lower_pairs_only(self):
         t = T(2, 1, 1, 2)

@@ -1,6 +1,11 @@
 import pytest
 
-from helpers import compositions_upto, det_permutation_expansion
+from helpers import (
+    compositions_upto,
+    count_section_permutations,
+    det_permutation_expansion,
+    substitute,
+)
 from wsections.construction import Section, extract_section, step1, step2, step3
 from wsections.errors import (
     InvalidInputError,
@@ -10,7 +15,6 @@ from wsections.errors import (
 )
 from wsections.invariants import (
     build_minor,
-    count_section_permutations,
     det_size_bound,
     generic_invariant,
     restrict_to_E,
@@ -128,6 +132,23 @@ class TestRestrictToSection:
             assert coords == set(sec.v)
             assert len(coords) == len(pairs)
 
+    def test_matches_substitution_into_expanded_determinant(self):
+        # Substituting after a permutation expansion is an independent route
+        # to the restriction (step 2 and step 3) and to the nilfibre value.
+        for parts in compositions_upto(6):
+            t = T(*parts)
+            sec2, sec3 = extract_section(step2(step1(t))), section_of(t)
+            for pair in neighboring_pairs(t):
+                ms = build_minor(t, pair)
+                generic = det_permutation_expansion(ms.matrix)
+                cells = {c for row in ms.matrix.rows for c in row if not isinstance(c, int)}
+                for sec in (sec2, sec3):
+                    e_keys, v_keys = {u.key for u in sec.e}, {u.key for u in sec.v}
+                    on_e = {x: int(x in e_keys) for x in cells}
+                    kept = {x: c for x, c in on_e.items() if x not in v_keys}
+                    assert restrict_to_section(ms, sec) == substitute(generic, kept)
+                assert restrict_to_E(ms, sec3) == substitute(generic, on_e) == 0
+
     def test_unique_contributing_permutation(self):
         for parts in compositions_upto(6):
             t = T(*parts)
@@ -177,30 +198,30 @@ class TestGenericInvariant:
             + X(1, 2) * X(2, 5) * X(5, 6)
             + X(1, 3) * X(3, 5) * X(5, 6)
         )
-        assert plus_minus(generic_invariant(t, NeighborPair(2, 3, 2)), quadratic)
-        assert plus_minus(generic_invariant(t, NeighborPair(1, 4, 1)), cubic)
+        assert plus_minus(generic_invariant(build_minor(t, NeighborPair(2, 3, 2))), quadratic)
+        assert plus_minus(generic_invariant(build_minor(t, NeighborPair(1, 4, 1))), cubic)
 
     def test_trivial_1x1(self):
-        assert generic_invariant(T(1, 1), NeighborPair(1, 2, 1)) == X(1, 2)
+        assert generic_invariant(build_minor(T(1, 1), NeighborPair(1, 2, 1))) == X(1, 2)
 
     def test_degree_matches_formula(self):
         for parts in compositions_upto(6):
             t = T(*parts)
             for pair in neighboring_pairs(t):
-                inv = generic_invariant(t, pair)
+                inv = generic_invariant(build_minor(t, pair))
                 assert inv.degree() == bs_degree(t, pair)
 
     def test_size_guard(self):
         t = T(1, 7, 1)
         with pytest.raises(ResourceLimitError):
-            generic_invariant(t, NeighborPair(1, 3, 1), size_bound=4)
+            generic_invariant(build_minor(t, NeighborPair(1, 3, 1)), 4)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("WS_DET_BOUND", "2")
         assert det_size_bound(9) == 2
         t = T(2, 1, 1, 2)
         with pytest.raises(ResourceLimitError):
-            generic_invariant(t, NeighborPair(1, 4, 2))
+            generic_invariant(build_minor(t, NeighborPair(1, 4, 2)))
         monkeypatch.delenv("WS_DET_BOUND")
         assert det_size_bound() == 8
 
@@ -231,13 +252,13 @@ class TestGenericInvariant:
         t = T(1, 1, 1)
         far = det(_raw_minor_matrix(t, 1, 3, 1)).top_term()
         assert far == X(1, 2) * X(2, 3)
-        assert far == generic_invariant(t, NeighborPair(1, 2, 1)) * generic_invariant(
-            t, NeighborPair(2, 3, 1)
+        assert far == generic_invariant(build_minor(t, NeighborPair(1, 2, 1))) * generic_invariant(
+            build_minor(t, NeighborPair(2, 3, 1))
         )
 
         t = T(2, 2, 2)
         wide = det(_raw_minor_matrix(t, 1, 3, 2)).top_term()
-        product = generic_invariant(t, NeighborPair(1, 2, 2)) * generic_invariant(
-            t, NeighborPair(2, 3, 2)
+        product = generic_invariant(build_minor(t, NeighborPair(1, 2, 2))) * generic_invariant(
+            build_minor(t, NeighborPair(2, 3, 2))
         )
         assert plus_minus(wide, product)

@@ -1,7 +1,7 @@
 from hypothesis import given, strategies as st
 import pytest
 
-from helpers import compositions_upto
+from helpers import compositions_upto, in_nilradical
 from wsections.errors import InvalidInputError
 from wsections.tableau import (
     Composition,
@@ -10,7 +10,6 @@ from wsections.tableau import (
     bs_degree,
     build_tableau,
     compositions,
-    in_nilradical,
     neighboring_pairs,
     nilradical_basis,
 )
@@ -29,7 +28,9 @@ class TestComposition:
         assert Composition.parse("2,1,1,2").parts == (2, 1, 1, 2)
         assert Composition.parse(" 3 , 2 ").parts == (3, 2)
 
-    @pytest.mark.parametrize("bad", ["", "2,0,1", "a,b", "1,-2", "2,,1"])
+    @pytest.mark.parametrize(
+        "bad", ["", "2,0,1", "a,b", "1,-2", "2,,1", "1_0", "+3", "2,\u0663", "\uff12"]
+    )
     def test_parse_rejects(self, bad):
         with pytest.raises(InvalidInputError):
             Composition.parse(bad)

@@ -2,10 +2,16 @@ import random
 
 import pytest
 
-from helpers import compositions_upto, rank_fractions
+from helpers import (
+    compositions_upto,
+    rank_fractions,
+    root_system_type,
+    triangular_unimodular_witness,
+    weight_inner,
+)
 from wsections.construction import LEFTMOST, RIGHTMOST, step1, step2
 from wsections.errors import InternalError, InvalidStateError
-from wsections.linalg import rank_int, solve_unit_differences, triangular_unimodular_witness
+from wsections.linalg import rank_int, solve_unit_differences
 from wsections.tableau import (
     Composition,
     MatrixUnit,
@@ -19,10 +25,8 @@ from wsections.verify import (
     density_check,
     grading_element,
     line_weight,
-    root_system_type,
     separation_matrix,
     separation_rank,
-    weight_inner,
 )
 
 
