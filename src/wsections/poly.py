@@ -6,17 +6,18 @@ polynomial maps monomials to nonzero arbitrary-precision integer
 coefficients.  The zero polynomial is the empty mapping.  Nothing here is
 floating point and nothing truncates: exactness is the contract.
 
-Determinants of matrices whose entries are integers or single variables are
-computed by sparse Laplace expansion memoized over column subsets, falling
-back to fraction-free elimination over the polynomial ring for large, mostly
-constant matrices.
+Determinants of matrices whose entries are integers or single variables have
+one engine at every size: a sparse Laplace expansion tabulated over the sets
+of columns left free, whose tables hold plain monomial -> coefficient dicts.
+A determinant whose tables would outgrow MEMO_BUDGET entries raises
+ResourceLimitError rather than exhaust memory.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .errors import InternalError, InvalidInputError, UndefinedGradingError
+from .errors import InvalidInputError, ResourceLimitError, UndefinedGradingError
 
 Var = tuple[int, int]
 Monomial = tuple[tuple[Var, int], ...]
@@ -44,14 +45,6 @@ class Polynomial:
     @classmethod
     def const(cls, c: int) -> "Polynomial":
         return cls({_ONE: c})
-
-    @classmethod
-    def x(cls, i: int, j: int) -> "Polynomial":
-        return cls({(((i, j), 1),): 1})
-
-    @classmethod
-    def variable(cls, var: Var) -> "Polynomial":
-        return cls({((tuple(var), 1),): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -110,14 +103,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise InvalidInputError("negative powers are not defined")
-        result = Polynomial.const(1)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def degree(self) -> int:
         """Maximal total exponent; -1 for the zero polynomial."""
         if not self.terms:
@@ -170,45 +155,6 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return _make_monomial(powers)
 
 
-def _mono_lex_key_cmp(a: Monomial, b: Monomial) -> int:
-    """Lexicographic monomial order: lower variables weigh more."""
-    da, db = dict(a), dict(b)
-    for v in sorted(set(da) | set(db)):
-        ea, eb = da.get(v, 0), db.get(v, 0)
-        if ea != eb:
-            return 1 if ea > eb else -1
-    return 0
-
-
-def _leading(p: Polynomial) -> tuple[Monomial, int]:
-    lead = None
-    for m in p.terms:
-        if lead is None or _mono_lex_key_cmp(m, lead) > 0:
-            lead = m
-    assert lead is not None
-    return lead, p.terms[lead]
-
-
-def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact quotient f / g; raises InternalError when g does not divide f."""
-    if g.is_zero():
-        raise InternalError("division by the zero polynomial")
-    quotient: dict[Monomial, int] = {}
-    rem = Polynomial(dict(f.terms))
-    mg, cg = _leading(g)
-    dg = dict(mg)
-    while not rem.is_zero():
-        mf, cf = _leading(rem)
-        df = dict(mf)
-        if cf % cg != 0 or any(df.get(v, 0) < e for v, e in dg.items()):
-            raise InternalError("inexact polynomial division")
-        qc = cf // cg
-        qm = _make_monomial({v: e - dg.get(v, 0) for v, e in df.items()})
-        quotient[qm] = quotient.get(qm, 0) + qc
-        rem = rem - Polynomial({qm: qc}) * g
-    return Polynomial(quotient)
-
-
 @dataclass(frozen=True)
 class SymbolicMatrix:
     """Square matrix whose entries are integers or single variables (i, j)."""
@@ -237,63 +183,91 @@ class SymbolicMatrix:
     def size(self) -> int:
         return len(self.rows)
 
-    def entry_poly(self, r: int, c: int) -> Polynomial:
-        cell = self.rows[r][c]
-        if isinstance(cell, int):
-            return Polynomial.const(cell)
-        return Polynomial.variable(cell)
 
-
-_ELIMINATION_THRESHOLD = 13
+MEMO_BUDGET = 1 << 20  # column sets plus terms one determinant may tabulate
 
 
 def det(matrix: SymbolicMatrix) -> Polynomial:
-    """Exact symbolic determinant."""
-    if matrix.size >= _ELIMINATION_THRESHOLD:
-        return _det_fraction_free(matrix)
-    return _det_expansion(matrix)
+    """Exact symbolic determinant by sparse Laplace expansion.
 
-
-def _det_expansion(matrix: SymbolicMatrix) -> Polynomial:
-    """Laplace expansion, sparsest rows first, memoized on column subsets."""
-    m = matrix.size
-    order = sorted(range(m), key=lambda r: (sum(1 for c in matrix.rows[r] if c != 0), r))
-    sign = _permutation_sign(order)
-    rows = [matrix.rows[r] for r in order]
-    result = _expand(rows, 0, (1 << m) - 1, {})
-    return result if sign == 1 else -result
-
-
-def _expand(
-    rows: list[tuple[Entry, ...]], depth: int, mask: int, memo: dict[int, Polynomial]
-) -> Polynomial:
-    """Determinant of rows[depth:] on the columns in mask, memoized on mask.
-
-    A module-level function, not a closure: a closure that calls itself is a
-    reference cycle, and it would keep the memo's polynomials alive until the
-    cyclic garbage collector next runs instead of freeing them on return.
+    Rows are expanded sparsest first.  For every set of columns the rows
+    above can leave free, a table holds the minor of the remaining rows on
+    those columns, as a monomial -> coefficient dict.  The tables are built
+    from the last row up, and each is dropped once the row above has used
+    it.  Raises ResourceLimitError once the column sets and terms tabulated
+    for this determinant exceed MEMO_BUDGET.
     """
-    if depth == len(rows):
-        return Polynomial.const(1)
-    cached = memo.get(mask)
-    if cached is not None:
-        return cached
-    total = Polynomial.zero()
-    row = rows[depth]
-    parity = 0
-    for c in range(len(rows)):
-        bit = 1 << c
-        if not mask & bit:
-            continue
-        cell = row[c]
-        if cell != 0:
-            sub = _expand(rows, depth + 1, mask & ~bit, memo)
-            if not sub.is_zero():
-                term = sub * cell if isinstance(cell, int) else sub * Polynomial.variable(cell)
-                total = total + (term if parity % 2 == 0 else -term)
-        parity += 1
-    memo[mask] = total
-    return total
+    m = matrix.size
+    nonzero = [[(c, cell) for c, cell in enumerate(row) if cell != 0] for row in matrix.rows]
+    order = sorted(range(m), key=lambda r: (len(nonzero[r]), r))
+    rows = [nonzero[r] for r in order]
+    free = [{(1 << m) - 1}]
+    held = 1
+    for row in rows[:-1]:
+        free.append({mask ^ 1 << c for mask in free[-1] for c, _ in row if mask >> c & 1})
+        held += len(free[-1])
+        _check_budget(held, m)
+    minors: dict[int, dict[Monomial, int]] = {0: {_ONE: 1}}
+    for row, masks in zip(reversed(rows), reversed(free)):
+        table = {}
+        for mask in masks:
+            total: dict[Monomial, int] = {}
+            for c, cell in row:
+                bit = 1 << c
+                if mask & bit:
+                    sub = minors[mask ^ bit]
+                    if sub:
+                        # Moving column c to the front passes the free columns below it.
+                        _add_product(total, sub, cell, (mask & (bit - 1)).bit_count() & 1)
+            table[mask] = total
+            held += len(total)
+            _check_budget(held, m)
+        minors = table
+    terms = minors[(1 << m) - 1]
+    if _permutation_sign(order) == -1:
+        terms = {mono: -coeff for mono, coeff in terms.items()}
+    return Polynomial(terms)
+
+
+def _check_budget(held: int, size: int) -> None:
+    if held > MEMO_BUDGET:
+        raise ResourceLimitError(
+            f"determinant of size {size} needs more than {MEMO_BUDGET} table entries"
+        )
+
+
+def _add_product(total: dict[Monomial, int], sub: dict[Monomial, int], cell: Entry, odd: int) -> None:
+    """total += (-1)**odd * cell * sub, in place."""
+    if isinstance(cell, int):
+        factor = -cell if odd else cell
+        if not total:
+            total.update(sub if factor == 1 else {mono: k * factor for mono, k in sub.items()})
+            return
+        for mono, k in sub.items():
+            s = total.get(mono, 0) + k * factor
+            if s:
+                total[mono] = s
+            else:
+                del total[mono]
+        return
+    last = ((cell, 1),)
+    for mono, k in sub.items():
+        mono = mono + last if not mono or mono[-1][0] < cell else _times_var(mono, cell)
+        s = total.get(mono, 0) + (-k if odd else k)
+        if s:
+            total[mono] = s
+        else:
+            del total[mono]
+
+
+def _times_var(mono: Monomial, var: Var) -> Monomial:
+    """mono * var: a sorted insert, or one more power of a variable already there."""
+    k = len(mono)
+    while k and mono[k - 1][0] > var:
+        k -= 1
+    if k and mono[k - 1][0] == var:
+        return mono[: k - 1] + ((var, mono[k - 1][1] + 1),) + mono[k:]
+    return mono[:k] + ((var, 1),) + mono[k:]
 
 
 def _permutation_sign(perm: Iterable[int]) -> int:
@@ -312,48 +286,3 @@ def _permutation_sign(perm: Iterable[int]) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def _det_fraction_free(matrix: SymbolicMatrix) -> Polynomial:
-    """Bareiss elimination over the polynomial ring.
-
-    Pivots prefer integer entries, then short polynomials; every division is
-    exact by construction.
-    """
-    m = matrix.size
-    a = [[matrix.entry_poly(r, c) for c in range(m)] for r in range(m)]
-    sign = 1
-    prev = Polynomial.const(1)
-    for k in range(m - 1):
-        pivot_row = _pick_pivot(a, k)
-        if pivot_row is None:
-            return Polynomial.zero()
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, m):
-            row_i = a[i]
-            if all(row_i[j].is_zero() for j in range(k, m)):
-                continue
-            lead = row_i[k]
-            for j in range(k + 1, m):
-                row_i[j] = divexact(pivot * row_i[j] - lead * a[k][j], prev)
-            row_i[k] = Polynomial.zero()
-        prev = pivot
-    result = a[m - 1][m - 1]
-    return result if sign == 1 else -result
-
-
-def _pick_pivot(a: list[list[Polynomial]], k: int) -> int | None:
-    best = None
-    best_key = None
-    for i in range(k, len(a)):
-        cell = a[i][k]
-        if cell.is_zero():
-            continue
-        is_const = 0 if cell.degree() == 0 else 1
-        key = (is_const, len(cell.terms), i)
-        if best_key is None or key < best_key:
-            best, best_key = i, key
-    return best

@@ -1,7 +1,8 @@
 """Independent oracles and small utilities shared by the test modules.
 
 Everything here recomputes expected values by a different route than the
-package: determinants by full permutation expansion, ranks by Gaussian
+package: determinants by full permutation expansion and by fraction-free
+(Bareiss) elimination over the polynomial ring, ranks by Gaussian
 elimination over fractions, composite-line covers by recursive backtracking,
 restrictions by substituting into the expanded polynomial.
 """
@@ -11,7 +12,17 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from wsections.poly import Polynomial, SymbolicMatrix
+from wsections.errors import InternalError
+from wsections.poly import Monomial, Polynomial, SymbolicMatrix
+
+
+def X(i: int, j: int) -> Polynomial:
+    """The coordinate polynomial x[i,j]."""
+    return Polynomial({(((i, j), 1),): 1})
+
+
+def _entry(cell) -> Polynomial:
+    return Polynomial.const(cell) if isinstance(cell, int) else X(*cell)
 
 
 def det_permutation_expansion(matrix: SymbolicMatrix) -> Polynomial:
@@ -26,7 +37,7 @@ def det_permutation_expansion(matrix: SymbolicMatrix) -> Polynomial:
             if cell == 0:
                 product = Polynomial.zero()
                 break
-            product = product * (cell if isinstance(cell, int) else Polynomial.variable(cell))
+            product = product * _entry(cell)
         total = total + product
     return total
 
@@ -38,6 +49,89 @@ def _perm_sign(perm) -> int:
             if perm[a] > perm[b]:
                 sign = -sign
     return sign
+
+
+def det_fraction_free(matrix: SymbolicMatrix) -> Polynomial:
+    """Bareiss elimination over the polynomial ring.
+
+    Pivots prefer integer entries, then short polynomials; every division is
+    exact by construction, and divexact checks it.
+    """
+    m = matrix.size
+    a = [[_entry(cell) for cell in row] for row in matrix.rows]
+    sign = 1
+    prev = Polynomial.const(1)
+    for k in range(m - 1):
+        pivot_row = _pick_pivot(a, k)
+        if pivot_row is None:
+            return Polynomial.zero()
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        for i in range(k + 1, m):
+            row_i = a[i]
+            if all(row_i[j].is_zero() for j in range(k, m)):
+                continue
+            lead = row_i[k]
+            for j in range(k + 1, m):
+                row_i[j] = divexact(pivot * row_i[j] - lead * a[k][j], prev)
+            row_i[k] = Polynomial.zero()
+        prev = pivot
+    result = a[m - 1][m - 1]
+    return result if sign == 1 else -result
+
+
+def _pick_pivot(a: list[list[Polynomial]], k: int) -> int | None:
+    best = None
+    best_key = None
+    for i in range(k, len(a)):
+        cell = a[i][k]
+        if cell.is_zero():
+            continue
+        key = (0 if cell.degree() == 0 else 1, len(cell.terms), i)
+        if best_key is None or key < best_key:
+            best, best_key = i, key
+    return best
+
+
+def _mono_lex_key_cmp(a: Monomial, b: Monomial) -> int:
+    """Lexicographic monomial order: lower variables weigh more."""
+    da, db = dict(a), dict(b)
+    for v in sorted(set(da) | set(db)):
+        ea, eb = da.get(v, 0), db.get(v, 0)
+        if ea != eb:
+            return 1 if ea > eb else -1
+    return 0
+
+
+def _leading(p: Polynomial) -> tuple[Monomial, int]:
+    lead = None
+    for m in p.terms:
+        if lead is None or _mono_lex_key_cmp(m, lead) > 0:
+            lead = m
+    assert lead is not None
+    return lead, p.terms[lead]
+
+
+def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Exact quotient f / g; raises InternalError when g does not divide f."""
+    if g.is_zero():
+        raise InternalError("division by the zero polynomial")
+    quotient: dict[Monomial, int] = {}
+    rem = Polynomial(dict(f.terms))
+    mg, cg = _leading(g)
+    dg = dict(mg)
+    while not rem.is_zero():
+        mf, cf = _leading(rem)
+        df = dict(mf)
+        if cf % cg != 0 or any(df.get(v, 0) < e for v, e in dg.items()):
+            raise InternalError("inexact polynomial division")
+        qc = cf // cg
+        qm = tuple(sorted((v, e - dg.get(v, 0)) for v, e in df.items() if e != dg.get(v, 0)))
+        quotient[qm] = quotient.get(qm, 0) + qc
+        rem = rem - Polynomial({qm: qc}) * g
+    return Polynomial(quotient)
 
 
 def rank_fractions(rows) -> int:
@@ -89,6 +183,17 @@ def random_symbolic_matrix(
     return SymbolicMatrix(tuple(rows))
 
 
+# Five large compositions (dim m up to 1350) whose substituted minors reach
+# size 22; the benchmark's verify-heavy set.
+HEAVY_COMPOSITIONS = (
+    (15, 15, 15, 15),
+    (10, 10, 10, 10),
+    (3,) + (2,) * 8 + (3,),
+    (1,) + (2,) * 10 + (1,),
+    (2,) + (1,) * 20 + (2,),
+)
+
+
 def compositions_upto(n_max: int):
     from wsections.tableau import compositions
 
@@ -111,8 +216,8 @@ def substitute(p: Polynomial, assignment) -> Polynomial:
     for mono, coeff in p.terms.items():
         term = Polynomial.const(coeff)
         for var, exp in mono:
-            value = assignment.get(var, var)
-            term = term * (value if isinstance(value, int) else Polynomial.variable(value)) ** exp
+            for _ in range(exp):
+                term = term * _entry(assignment.get(var, var))
         out = out + term
     return out
 

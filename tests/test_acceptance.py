@@ -9,6 +9,7 @@ import time
 import pytest
 
 from helpers import (
+    X,
     compositions_upto,
     det_permutation_expansion,
     random_symbolic_matrix,
@@ -16,7 +17,7 @@ from helpers import (
 )
 from wsections.construction import RIGHTMOST, extract_section, step1, step2, step3, verify_P1
 from wsections.invariants import build_minor, generic_invariant, section_coordinate
-from wsections.poly import Polynomial, det
+from wsections.poly import det
 from wsections.tableau import (
     Composition,
     MatrixUnit,
@@ -26,8 +27,6 @@ from wsections.tableau import (
     neighboring_pairs,
 )
 from wsections.verify import codim_orbit, verify_composition
-
-X = Polynomial.x
 
 
 def T(*parts):

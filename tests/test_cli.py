@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wsections import cli
+from wsections import cli, poly
 
 
 def run(argv, capsys):
@@ -179,6 +179,13 @@ class TestVerify:
         code, out, _ = run(["verify", "-c", "2", "-o", str(tmp_path)], capsys)
         assert code == 1
         assert "FAIL" in out and "density" in out
+
+    def test_restriction_over_memo_budget_exit_1(self, capsys, tmp_path, monkeypatch):
+        # Pair (1,4) of 1,2,2,1 restricts through 10 table entries.
+        monkeypatch.setattr(poly, "MEMO_BUDGET", 9)
+        code, _, err = run(["verify", "-c", "1,2,2,1", "-o", str(tmp_path)], capsys)
+        assert code == 1 and err.startswith("error: determinant of size 5")
+        assert not list(tmp_path.iterdir())
 
 
 class TestSweep:

@@ -1,11 +1,15 @@
 import pytest
 
 from helpers import (
+    HEAVY_COMPOSITIONS,
+    X,
     compositions_upto,
     count_section_permutations,
+    det_fraction_free,
     det_permutation_expansion,
     substitute,
 )
+from wsections import invariants
 from wsections.construction import Section, extract_section, step1, step2, step3
 from wsections.errors import (
     InvalidInputError,
@@ -21,7 +25,7 @@ from wsections.invariants import (
     restrict_to_section,
     section_coordinate,
 )
-from wsections.poly import Polynomial, det
+from wsections.poly import det
 from wsections.tableau import (
     Composition,
     MatrixUnit,
@@ -30,8 +34,6 @@ from wsections.tableau import (
     build_tableau,
     neighboring_pairs,
 )
-
-X = Polynomial.x
 
 
 def T(*parts):
@@ -148,6 +150,27 @@ class TestRestrictToSection:
                     kept = {x: c for x, c in on_e.items() if x not in v_keys}
                     assert restrict_to_section(ms, sec) == substitute(generic, kept)
                 assert restrict_to_E(ms, sec3) == substitute(generic, on_e) == 0
+
+    def test_heavy_substituted_minors_match_fraction_free(self, monkeypatch):
+        # The restriction and nilfibre minors of the heavy compositions reach
+        # size 22, beyond the permutation oracle.
+        sizes = []
+
+        def checked_det(matrix):
+            sizes.append(matrix.size)
+            got = det(matrix)
+            assert got == det_fraction_free(matrix)
+            return got
+
+        monkeypatch.setattr(invariants, "det", checked_det)
+        for parts in HEAVY_COMPOSITIONS:
+            t = T(*parts)
+            sec = section_of(t)
+            for pair in neighboring_pairs(t):
+                ms = build_minor(t, pair)
+                section_coordinate(ms, sec)
+                restrict_to_E(ms, sec)
+        assert len(sizes) == 88 and max(sizes) == 22
 
     def test_unique_contributing_permutation(self):
         for parts in compositions_upto(6):

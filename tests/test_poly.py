@@ -1,20 +1,32 @@
 import gc
 import random
+import time
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from helpers import det_permutation_expansion, random_symbolic_matrix, substitute
-from wsections.errors import InternalError, UndefinedGradingError
-from wsections.poly import (
-    Polynomial,
-    SymbolicMatrix,
-    _det_fraction_free,
-    det,
+from helpers import (
+    X,
+    det_fraction_free,
+    det_permutation_expansion,
     divexact,
+    random_symbolic_matrix,
+    substitute,
 )
+from wsections.errors import InternalError, ResourceLimitError, UndefinedGradingError
+from wsections.poly import Polynomial, SymbolicMatrix, det
 
-X = Polynomial.x
+
+def sparse_symbolic_matrix(rng: random.Random, size: int) -> SymbolicMatrix:
+    """Diagonal entries plus at most two off-diagonal nonzeros per row."""
+    rows = []
+    for r in range(size):
+        row: list = [0] * size
+        for c in [r] + rng.sample(range(size), 2):
+            roll = rng.random()
+            row[c] = (r + 1, size + c + 1) if roll < 0.3 else rng.choice((-3, -2, -1, 1, 2, 3))
+        rows.append(tuple(row))
+    return SymbolicMatrix(tuple(rows))
 
 
 @st.composite
@@ -112,7 +124,7 @@ class TestToString:
         p = X(2, 4) * X(3, 5) - X(2, 5) * X(3, 4)
         assert p.to_string() == "x[2,4]*x[3,5] - x[2,5]*x[3,4]"
         assert Polynomial.zero().to_string() == "0"
-        assert (-3 * X(1, 2) ** 2).to_string() == "-3*x[1,2]^2"
+        assert (-3 * X(1, 2) * X(1, 2)).to_string() == "-3*x[1,2]^2"
 
     def test_deterministic(self):
         p = X(1, 5) + X(1, 4) + X(2, 3) - 7
@@ -160,9 +172,9 @@ class TestDet:
         for _ in range(60):
             size = rng.randint(2, 6)
             m = random_symbolic_matrix(rng, size, max_vars_per_row=2)
-            assert _det_fraction_free(m) == det(m)
+            assert det_fraction_free(m) == det(m)
 
-    def test_large_constant_matrix_uses_elimination(self):
+    def test_large_sparse_constant_matrix(self):
         size = 14
         rows = [[0] * size for _ in range(size)]
         for k in range(size):
@@ -171,6 +183,30 @@ class TestDet:
         rows[3][7] = (4, 8)
         m = SymbolicMatrix(tuple(tuple(r) for r in rows))
         assert det(m) == 1
+
+    def test_large_sparse_matrices_match_fraction_free(self):
+        # Sizes the permutation oracle cannot reach: every row holds its
+        # diagonal entry and at most two more nonzeros.
+        rng = random.Random(1313)
+        for _ in range(20):
+            m = sparse_symbolic_matrix(rng, rng.randint(13, 18))
+            assert det(m) == det_fraction_free(m)
+
+    def test_repeated_variables_stay_exact(self):
+        v = (1, 2)
+        m = SymbolicMatrix(((v, 1, 0), (0, v, 1), (1, 0, v)))
+        assert det(m) == X(1, 2) * X(1, 2) * X(1, 2) + 1
+        assert det(m) == det_permutation_expansion(m)
+
+    def test_dense_matrix_exceeds_memo_budget(self):
+        size = 12
+        m = SymbolicMatrix(
+            tuple(tuple((r + 1, size + c + 1) for c in range(size)) for r in range(size))
+        )
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            det(m)
+        assert time.perf_counter() - start < 30
 
     def test_expansion_leaves_no_cyclic_garbage(self):
         # The expansion's memo must be freed when det returns, not whenever

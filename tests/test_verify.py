@@ -1,14 +1,19 @@
+import hashlib
+import json
 import random
+import time
 
 import pytest
 
 from helpers import (
+    HEAVY_COMPOSITIONS,
     compositions_upto,
     rank_fractions,
     root_system_type,
     triangular_unimodular_witness,
     weight_inner,
 )
+from wsections import poly
 from wsections.construction import LEFTMOST, RIGHTMOST, step1, step2
 from wsections.errors import InternalError, InvalidStateError
 from wsections.linalg import rank_int, solve_unit_differences
@@ -27,6 +32,7 @@ from wsections.verify import (
     line_weight,
     separation_matrix,
     separation_rank,
+    verify_composition,
 )
 
 
@@ -143,13 +149,6 @@ class TestSeparation:
             t = T(*parts)
             sm = separation_matrix(t, LS2(t))
             assert len(sm.entries) == t.n - len(parts)
-
-    def test_line_census_gap_formula(self):
-        for parts in compositions_upto(9):
-            t = T(*parts)
-            heights = sorted(set(parts))
-            gaps = heights[-1] - len(heights)
-            assert len(LS2(t).one_lines()) == (t.n - len(parts)) - gaps
 
     def test_triangular_unimodular_witness(self):
         for parts in compositions_upto(7):
@@ -293,3 +292,39 @@ class TestCodimOrbit:
         t = T(1, 1)
         assert codim_orbit(t, {MatrixUnit(1, 2): 3}, "P") == 0
         assert codim_orbit(t, {MatrixUnit(1, 2): 0}, "P") == 1
+
+
+class TestBattery:
+    # SHA-256 of the sorted-key JSON list of the reports for every
+    # composition with n <= 8, then the heavy compositions, all at bound 8.
+    # A deliberate report change (a schema bump) updates it in the same commit.
+    GOLDEN_DIGEST = "a9f5dffa53dc81c24c25a785cef309b8ce58ba9aaa384c529f1d44824e31ee48"
+
+    def test_golden_report_digest(self, monkeypatch):
+        monkeypatch.delenv("WS_DET_BOUND", raising=False)
+        inputs = list(compositions_upto(8)) + list(HEAVY_COMPOSITIONS)
+        reports = [verify_composition(parts, 8) for parts in inputs]
+        text = json.dumps(reports, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN_DIGEST
+
+    def test_size_14_generic_minor_is_checked(self, monkeypatch):
+        monkeypatch.delenv("WS_DET_BOUND", raising=False)
+        start = time.perf_counter()
+        report = verify_composition((2, 3, 3, 3, 3, 2), 16)
+        assert time.perf_counter() - start < 60
+        assert report["pass"] is True and report["skipped"] == []
+        (outer,) = [p for p in report["pairs"] if p["pair"] == [1, 6]]
+        assert outer["size"] == 14
+        assert outer["degree_observed"] == outer["degree_formula"]
+
+    def test_memo_budget_records_skip(self, monkeypatch):
+        # Pair (1,4) of 1,2,2,1 tabulates 54 entries for its generic minor,
+        # its restrictions at most 10, and pair (2,3) at most 7.
+        monkeypatch.delenv("WS_DET_BOUND", raising=False)
+        monkeypatch.setattr(poly, "MEMO_BUDGET", 20)
+        report = verify_composition((1, 2, 2, 1), 8)
+        assert report["skipped"] == ["pair (1,4) size 5"]
+        outer, inner = report["pairs"]
+        assert outer["invariant"] is None and outer["degree_observed"] is None
+        assert outer["restriction"] is not None and outer["nilfibre_zero"] is True
+        assert inner["degree_observed"] == inner["degree_formula"] == 2
