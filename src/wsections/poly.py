@@ -9,15 +9,17 @@ floating point and nothing truncates: exactness is the contract.
 Determinants of matrices whose entries are integers or single variables have
 one engine at every size: a sparse Laplace expansion tabulated over the sets
 of columns left free, whose tables hold plain monomial -> coefficient dicts.
-A determinant whose tables would outgrow MEMO_BUDGET entries raises
-ResourceLimitError rather than exhaust memory.
+Its top mode, which the generic invariants use, keeps only the cofactors of
+highest degree in every table; it is exact when no two permutations share a
+monomial, which it checks first.  A determinant whose tables would outgrow
+MEMO_BUDGET entries raises ResourceLimitError rather than exhaust memory.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .errors import InvalidInputError, ResourceLimitError, UndefinedGradingError
+from .errors import InternalError, InvalidInputError, ResourceLimitError, UndefinedGradingError
 
 Var = tuple[int, int]
 Monomial = tuple[tuple[Var, int], ...]
@@ -113,8 +115,14 @@ class Polynomial:
         """Homogeneous component of maximal total degree."""
         if not self.terms:
             raise UndefinedGradingError("the zero polynomial has no top term")
-        d = self.degree()
-        return Polynomial({m: c for m, c in self.terms.items() if sum(e for _, e in m) == d})
+        best, kept = -1, {}
+        for m, c in self.terms.items():
+            d = sum(e for _, e in m)
+            if d > best:
+                best, kept = d, {m: c}
+            elif d == best:
+                kept[m] = c
+        return Polynomial(kept)
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         return sorted(self.terms.items())
@@ -187,43 +195,63 @@ class SymbolicMatrix:
 MEMO_BUDGET = 1 << 20  # column sets plus terms one determinant may tabulate
 
 
-def det(matrix: SymbolicMatrix) -> Polynomial:
+def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
     """Exact symbolic determinant by sparse Laplace expansion.
 
     Rows are expanded sparsest first.  For every set of columns the rows
     above can leave free, a table holds the minor of the remaining rows on
-    those columns, as a monomial -> coefficient dict.  The tables are built
-    from the last row up, and each is dropped once the row above has used
-    it.  Raises ResourceLimitError once the column sets and terms tabulated
-    for this determinant exceed MEMO_BUDGET.
+    those columns, as its degree and a monomial -> coefficient dict.  The
+    tables are built from the last row up, and each is dropped once the row
+    above has used it.  Raises ResourceLimitError once the column sets and
+    terms tabulated for this determinant exceed MEMO_BUDGET.
+
+    With top=True only the homogeneous component of maximal total degree is
+    expanded: every table keeps the cofactors of its highest degree and
+    skips the rest.  That is exact only when no two permutations share a
+    monomial, so top mode first checks that no variable appears twice and
+    no row holds two nonzero constants, and raises InternalError otherwise.
     """
     m = matrix.size
-    nonzero = [[(c, cell) for c, cell in enumerate(row) if cell != 0] for row in matrix.rows]
+    # rise: the degree a cell adds to its cofactor, counted in top mode only.
+    nonzero = [
+        [(c, cell, top and not isinstance(cell, int)) for c, cell in enumerate(row) if cell != 0]
+        for row in matrix.rows
+    ]
+    if top:
+        # Each variable, and each row's nonzero constant, may occur once.
+        keys = [cell if rise else r for r, row in enumerate(nonzero) for _, cell, rise in row]
+        if len(set(keys)) < len(keys):
+            raise InternalError("top mode: a variable repeats or a row holds two constants")
     order = sorted(range(m), key=lambda r: (len(nonzero[r]), r))
     rows = [nonzero[r] for r in order]
     free = [{(1 << m) - 1}]
     held = 1
     for row in rows[:-1]:
-        free.append({mask ^ 1 << c for mask in free[-1] for c, _ in row if mask >> c & 1})
+        free.append({mask ^ 1 << c for mask in free[-1] for c, _, _ in row if mask >> c & 1})
         held += len(free[-1])
         _check_budget(held, m)
-    minors: dict[int, dict[Monomial, int]] = {0: {_ONE: 1}}
+    minors: dict[int, tuple[int, dict[Monomial, int]]] = {0: (0, {_ONE: 1})}
     for row, masks in zip(reversed(rows), reversed(free)):
         table = {}
         for mask in masks:
-            total: dict[Monomial, int] = {}
-            for c, cell in row:
+            best, total = -1, {}
+            for c, cell, rise in row:
                 bit = 1 << c
                 if mask & bit:
-                    sub = minors[mask ^ bit]
+                    degree, sub = minors[mask ^ bit]
                     if sub:
+                        degree += rise
+                        if degree < best:
+                            continue
+                        if degree > best:
+                            best, total = degree, {}
                         # Moving column c to the front passes the free columns below it.
                         _add_product(total, sub, cell, (mask & (bit - 1)).bit_count() & 1)
-            table[mask] = total
+            table[mask] = best, total
             held += len(total)
             _check_budget(held, m)
         minors = table
-    terms = minors[(1 << m) - 1]
+    terms = minors[(1 << m) - 1][1]
     if _permutation_sign(order) == -1:
         terms = {mono: -coeff for mono, coeff in terms.items()}
     return Polynomial(terms)

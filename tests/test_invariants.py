@@ -234,6 +234,20 @@ class TestGenericInvariant:
                 inv = generic_invariant(build_minor(t, pair))
                 assert inv.degree() == bs_degree(t, pair)
 
+    def test_top_mode_matches_full_expansion(self):
+        for parts in compositions_upto(9):
+            t = T(*parts)
+            for pair in neighboring_pairs(t):
+                m = build_minor(t, pair).matrix
+                assert det(m, top=True) == det(m).top_term()
+
+    def test_top_mode_matches_full_expansion_at_size_14(self):
+        # Beyond the fraction-free oracle's reach; the full Laplace expansion
+        # of this minor tabulates about 280,000 entries.
+        ms = build_minor(T(2, 3, 3, 3, 3, 2), NeighborPair(1, 6, 2))
+        assert ms.size == 14
+        assert det(ms.matrix, top=True) == det(ms.matrix).top_term()
+
     def test_size_guard(self):
         t = T(1, 7, 1)
         with pytest.raises(ResourceLimitError):

@@ -107,6 +107,8 @@ class TestTopTerm:
     def test_golden(self):
         p = 1 + X(1, 2) + X(1, 2) * X(2, 3)
         assert p.top_term() == X(1, 2) * X(2, 3)
+        cubic = X(3, 4) * X(4, 5) * X(4, 5) - X(1, 5) * X(5, 6) * X(6, 7)
+        assert (X(1, 2) * X(2, 3) + 2 - X(3, 4) + cubic).top_term() == cubic
         assert Polynomial.const(5).top_term() == 5
 
     def test_zero_rejected(self):
@@ -197,6 +199,32 @@ class TestDet:
         m = SymbolicMatrix(((v, 1, 0), (0, v, 1), (1, 0, v)))
         assert det(m) == X(1, 2) * X(1, 2) * X(1, 2) + 1
         assert det(m) == det_permutation_expansion(m)
+
+    def test_top_mode_matches_permutation_expansion(self):
+        # Distinct variables and at most one nonzero constant per row, so
+        # no two permutations share a monomial.
+        rng = random.Random(2718)
+        for _ in range(300):
+            size = rng.randint(1, 6)
+            rows = []
+            for r in range(size):
+                row: list = [0] * size
+                cols = rng.sample(range(size), rng.randint(1, size))
+                for k, c in enumerate(cols):
+                    constant = k == 0 and rng.random() < 0.5
+                    row[c] = rng.choice((-2, -1, 1, 3)) if constant else (r + 1, c + 1)
+                rows.append(tuple(row))
+            m = SymbolicMatrix(tuple(rows))
+            full = det_permutation_expansion(m)
+            assert det(m, top=True) == (full.top_term() if full else full)
+
+    def test_top_mode_rejects_shared_monomials(self):
+        repeated = SymbolicMatrix((((1, 2), 0), (0, (1, 2))))
+        two_constants = SymbolicMatrix(((1, 1), ((2, 1), (2, 2))))
+        for m in (repeated, two_constants):
+            with pytest.raises(InternalError):
+                det(m, top=True)
+            det(m)
 
     def test_dense_matrix_exceeds_memo_budget(self):
         size = 12

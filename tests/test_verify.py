@@ -317,9 +317,22 @@ class TestBattery:
         assert outer["size"] == 14
         assert outer["degree_observed"] == outer["degree_formula"]
 
+    def test_size_17_generic_minor_fits_the_memo_budget(self, monkeypatch):
+        # The full expansion of pair (1,7)'s generic minor exceeds
+        # MEMO_BUDGET; its top-degree expansion does not.
+        monkeypatch.delenv("WS_DET_BOUND", raising=False)
+        start = time.perf_counter()
+        report = verify_composition((2, 3, 3, 3, 3, 3, 2), 17)
+        assert time.perf_counter() - start < 60
+        assert report["pass"] is True and report["skipped"] == []
+        (outer,) = [p for p in report["pairs"] if p["pair"] == [1, 7]]
+        assert outer["size"] == 17
+        assert outer["degree_observed"] == outer["degree_formula"] == 12
+
     def test_memo_budget_records_skip(self, monkeypatch):
-        # Pair (1,4) of 1,2,2,1 tabulates 54 entries for its generic minor,
-        # its restrictions at most 10, and pair (2,3) at most 7.
+        # Pair (1,4) of 1,2,2,1 tabulates 38 entries for the top-degree
+        # expansion of its generic minor (54 in full), its restriction 10,
+        # its nilfibre 5, and pair (2,3) at most 7.
         monkeypatch.delenv("WS_DET_BOUND", raising=False)
         monkeypatch.setattr(poly, "MEMO_BUDGET", 20)
         report = verify_composition((1, 2, 2, 1), 8)
