@@ -5,8 +5,8 @@ follows the nonzeros; with no modulus and no floats it is exact over Q.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from math import gcd
-from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalError
 
@@ -21,7 +21,9 @@ def rank_int(rows: Iterable[Sequence[int] | Mapping[int, int]]) -> int:
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        items = row.items() if isinstance(row, Mapping) else enumerate(row)
+        # The dict test is the cheap one; any other Mapping is still sparse.
+        sparse = isinstance(row, dict) or isinstance(row, Mapping)
+        items = row.items() if sparse else enumerate(row)
         r = {c: int(x) for c, x in items if x}
         while r:
             lead = min(r)

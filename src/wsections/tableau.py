@@ -164,14 +164,17 @@ class Tableau:
 
     @cached_property
     def nilradical(self) -> tuple[MatrixUnit, ...]:
-        """All matrix units of the nilradical, ordered by (i, j); built once."""
-        units = []
-        for i in range(1, self.n + 1):
-            ci = self.col_of(i)
-            for j in range(1, self.n + 1):
-                if ci < self.col_of(j):
-                    units.append(MatrixUnit(i, j))
-        return tuple(units)
+        """All matrix units of the nilradical, ordered by (i, j); built once.
+
+        Entries grow with the column index, so the units from an entry of a
+        column are those to every entry after the column's last.
+        """
+        return tuple(
+            MatrixUnit(i, j)
+            for col in self.columns
+            for i in col
+            for j in range(col[-1] + 1, self.n + 1)
+        )
 
 
 def build_tableau(c: Composition) -> Tableau:

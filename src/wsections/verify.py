@@ -6,10 +6,11 @@ ws-report/2 document.  Weights live over the simple roots a_1 .. a_{n-1};
 the line from entry i to entry j has weight a_i + ... + a_{j-1}.  Separation
 asks for the weights of the 1-labelled horizontal lines to stay independent
 when paired against the coroots indexed by the tableau minus the lowest box
-of every column.  The orbit computations (density included) run the adjoint
-action of a basis of the relevant algebra on an explicit point and hand the
-brackets, as sparse rows over the nilradical coordinates, to the exact
-integer rank; nothing is floated.
+of every column.  The orbit computations (density included) read the
+tangent space [p, point] straight off the point's line graph: each basis
+element of p or p' brackets with the point along the arrows at its two ends,
+giving one sparse row over the nilradical coordinates, and the rows go to
+the exact integer rank; nothing is floated.
 """
 from __future__ import annotations
 
@@ -109,68 +110,48 @@ def grading_element(ls: LineSet) -> GradingElement:
     return GradingElement(values=values)
 
 
-def _block_ranges(t: Tableau) -> list[range]:
-    out = []
-    start = 1
-    for h in t.composition.parts:
-        out.append(range(start, start + h))
-        start += h
-    return out
+def _orbit_rows(
+    t: Tableau, point: dict[tuple[int, int], int], group: str
+) -> tuple[dict[tuple[int, int], int], list[dict[int, int]]]:
+    """The nilradical's column index, and the rows [x, point] for a basis x
+    of p (group "P") or of p' (group "P'").
 
-
-def _bracket_with_point(
-    x: Mapping[tuple[int, int], int], point: Mapping[tuple[int, int], int]
-) -> dict[tuple[int, int], int]:
-    """[x, point] for sparse matrices given as {(a, b): coeff}."""
-    out: dict[tuple[int, int], int] = {}
-    for (a, b), ca in x.items():
-        for (c, d), cb in point.items():
-            coeff = ca * cb
-            if b == c:
-                out[(a, d)] = out.get((a, d), 0) + coeff
-            if d == a:
-                out[(c, b)] = out.get((c, b), 0) - coeff
-    return {k: v for k, v in out.items() if v}
-
-
-def _algebra_basis(t: Tableau, group: str) -> list[dict[tuple[int, int], int]]:
-    """Basis of p (group "P") or of its derived algebra p' (group "P'")."""
+    The point's arrows are indexed by source and by target once; then
+    [E_ab, point] = sum_{b->d} c E_ad - sum_{c->a} c E_cb (a = b included),
+    and a p' Cartan row E_aa - E_bb merges two such brackets.  Rows are
+    {column: coeff}: the nilradical units, then per column block its
+    off-diagonal units and its Cartan elements.
+    """
     if group not in (GROUP_FULL, GROUP_DERIVED):
         raise InvalidInputError(f"unknown group {group!r}")
-    basis: list[dict[tuple[int, int], int]] = [
-        {u.key: 1} for u in nilradical_basis(t)
-    ]
-    for block in _block_ranges(t):
-        for a in block:
-            for b in block:
-                if a != b:
-                    basis.append({(a, b): 1})
-        members = list(block)
-        if group == GROUP_FULL:
-            for a in members:
-                basis.append({(a, a): 1})
-        else:
-            for a, b in zip(members, members[1:]):
-                basis.append({(a, a): 1, (b, b): -1})
-    return basis
-
-
-def _span_dimension(
-    t: Tableau,
-    vectors: Iterable[Mapping[tuple[int, int], int]],
-) -> int:
     index = {u.key: pos for pos, u in enumerate(nilradical_basis(t))}
-    rows = []
-    for vec in vectors:
-        row = {}
-        for key, coeff in vec.items():
-            if coeff == 0:
-                continue
-            if key not in index:
-                raise InvalidInputError(f"vector leaves the nilradical at {key}")
-            row[index[key]] = coeff
-        rows.append(row)
-    return rank_int(rows)
+    out_arrows: dict[int, list[tuple[int, int]]] = {}
+    in_arrows: dict[int, list[tuple[int, int]]] = {}
+    for (i, j), c in point.items():
+        if (i, j) not in index:
+            raise InvalidInputError(f"vector leaves the nilradical at {(i, j)}")
+        out_arrows.setdefault(i, []).append((j, c))
+        in_arrows.setdefault(j, []).append((i, c))
+
+    # The point has no arrow b -> b and none inside one column, so the two
+    # sums of a bracket never share a unit, nor do [E_aa, .] and [E_bb, .]
+    # for a, b in one column: rows are plain unions, with no zero entries.
+    def bracket(a: int, b: int) -> dict[int, int]:
+        row = {index[(a, d)]: c for d, c in out_arrows.get(b, ())}
+        row.update((index[(src, b)], -c) for src, c in in_arrows.get(a, ()))
+        return row
+
+    rows = [bracket(a, b) for a, b in index]
+    for col in t.columns:
+        rows.extend(bracket(a, b) for a in col for b in col if a != b)
+        if group == GROUP_FULL:
+            rows.extend(bracket(a, a) for a in col)
+        else:
+            rows.extend(
+                {**bracket(a, a), **{key: -c for key, c in bracket(b, b).items()}}
+                for a, b in zip(col, col[1:])
+            )
+    return index, rows
 
 
 def _as_point(point: "Mapping[MatrixUnit, int] | Iterable[MatrixUnit]") -> dict[tuple[int, int], int]:
@@ -180,15 +161,16 @@ def _as_point(point: "Mapping[MatrixUnit, int] | Iterable[MatrixUnit]") -> dict[
 
 
 def density_check(t: Tableau, ls: LineSet) -> tuple[bool, int]:
-    """Does the derived algebra move e+v (all units, coefficient 1) plus V onto all of m?"""
+    """Does [p', e+v] + V fill m, every line of e+v at coefficient 1?
+
+    The rows are p''s brackets read off the step-2 line graph, plus one
+    singleton row per 0-line.  Returns (full, rank).
+    """
     _require_step2(ls)
-    point = {ln.key: 1 for ln in ls.lines}
-    vectors = [
-        _bracket_with_point(x, point) for x in _algebra_basis(t, GROUP_DERIVED)
-    ]
-    vectors.extend({ln.key: 1} for ln in ls.zero_lines())
-    dim = _span_dimension(t, vectors)
-    return dim == len(nilradical_basis(t)), dim
+    index, rows = _orbit_rows(t, {ln.key: 1 for ln in ls.lines}, GROUP_DERIVED)
+    rows.extend({index[ln.key]: 1} for ln in ls.zero_lines())
+    dim = rank_int(rows)
+    return dim == len(index), dim
 
 
 def codim_orbit(
@@ -196,11 +178,14 @@ def codim_orbit(
     point: "Mapping[MatrixUnit, int] | Iterable[MatrixUnit]",
     group: str = GROUP_FULL,
 ) -> int:
-    """Codimension in the nilradical of the orbit of a point under P or P'."""
-    pt = _as_point(point)
-    vectors = [_bracket_with_point(x, pt) for x in _algebra_basis(t, group)]
-    dim_m = len(nilradical_basis(t))
-    return dim_m - _span_dimension(t, vectors)
+    """Codimension in m of the orbit of a point under P or P'.
+
+    A mapping gives each unit its coefficient, an iterable coefficient 1.
+    The tangent space [p, point] is the span of the line-graph rows; a
+    point with a unit outside m raises InvalidInputError.
+    """
+    index, rows = _orbit_rows(t, _as_point(point), group)
+    return len(index) - rank_int(rows)
 
 
 def _gap_count(parts: tuple[int, ...]) -> int:

@@ -4,7 +4,9 @@ Everything here recomputes expected values by a different route than the
 package: determinants by full permutation expansion and by fraction-free
 (Bareiss) elimination over the polynomial ring, ranks by Gaussian
 elimination over fractions, composite-line covers by recursive backtracking,
-restrictions by substituting into the expanded polynomial.
+restrictions by substituting into the expanded polynomial, orbit tangent
+spaces by bracketing every basis matrix of p with every unit of the point,
+the nilradical by testing all n^2 positions.
 """
 from __future__ import annotations
 
@@ -204,6 +206,58 @@ def compositions_upto(n_max: int):
 def in_nilradical(t, u) -> bool:
     """True iff the column of entry i is strictly left of the column of j."""
     return t.col_of(u.i) < t.col_of(u.j)
+
+
+def nilradical_by_definition(t):
+    """Every matrix unit (i, j) with in_nilradical, testing all n^2 positions."""
+    from wsections.tableau import MatrixUnit
+
+    return tuple(
+        MatrixUnit(i, j)
+        for i in range(1, t.n + 1)
+        for j in range(1, t.n + 1)
+        if i != j and in_nilradical(t, MatrixUnit(i, j))
+    )
+
+
+def bracket_with_point(x, point):
+    """[x, point] for sparse matrices given as {(a, b): coeff}, unit by unit."""
+    out = {}
+    for (a, b), ca in x.items():
+        for (c, d), cb in point.items():
+            coeff = ca * cb
+            if b == c:
+                out[(a, d)] = out.get((a, d), 0) + coeff
+            if d == a:
+                out[(c, b)] = out.get((c, b), 0) - coeff
+    return {k: v for k, v in out.items() if v}
+
+
+def algebra_basis(t, group):
+    """Basis of p (group "P") or of its derived algebra p' (group "P'")."""
+    assert group in ("P", "P'")
+    basis = [{u.key: 1} for u in nilradical_by_definition(t)]
+    for block in t.columns:
+        basis += [{(a, b): 1} for a in block for b in block if a != b]
+        if group == "P":
+            basis += [{(a, a): 1} for a in block]
+        else:
+            basis += [{(a, a): 1, (b, b): -1} for a, b in zip(block, block[1:])]
+    return basis
+
+
+def orbit_span_dimension(t, point, group, extra=()):
+    """dim of [p, point] + span(extra) in m, bracketing every basis matrix.
+
+    The point is {(i, j): coeff}; the rank is taken by rank_int, which has
+    its own oracle in rank_fractions.
+    """
+    from wsections.linalg import rank_int
+
+    index = {u.key: pos for pos, u in enumerate(nilradical_by_definition(t))}
+    vectors = [bracket_with_point(x, point) for x in algebra_basis(t, group)]
+    vectors += list(extra)
+    return rank_int([{index[k]: c for k, c in vec.items()} for vec in vectors])
 
 
 def ungated_zero_lines(ls):

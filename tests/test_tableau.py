@@ -1,7 +1,7 @@
 from hypothesis import given, strategies as st
 import pytest
 
-from helpers import compositions_upto, in_nilradical
+from helpers import compositions_upto, in_nilradical, nilradical_by_definition
 from wsections.errors import InvalidInputError
 from wsections.tableau import (
     Composition,
@@ -128,6 +128,11 @@ class TestNilradical:
     def test_basis_built_once_per_tableau(self):
         t = T(3, 1, 2)
         assert nilradical_basis(t) is nilradical_basis(t)
+
+    def test_basis_matches_definition_exhaustive(self):
+        for parts in compositions_upto(10):
+            t = T(*parts)
+            assert nilradical_basis(t) == nilradical_by_definition(t)
 
     def test_dimension_formula_exhaustive(self):
         # dim m == (n^2 - sum n_i^2) / 2

@@ -2,20 +2,22 @@ import hashlib
 import json
 import random
 import time
+from types import MappingProxyType
 
 import pytest
 
 from helpers import (
     HEAVY_COMPOSITIONS,
     compositions_upto,
+    orbit_span_dimension,
     rank_fractions,
     root_system_type,
     triangular_unimodular_witness,
     weight_inner,
 )
 from wsections import poly
-from wsections.construction import LEFTMOST, RIGHTMOST, step1, step2
-from wsections.errors import InternalError, InvalidStateError
+from wsections.construction import LEFTMOST, RIGHTMOST, step1, step2, step3
+from wsections.errors import InternalError, InvalidInputError, InvalidStateError
 from wsections.linalg import rank_int, solve_unit_differences
 from wsections.tableau import (
     Composition,
@@ -68,6 +70,12 @@ class TestLinalg:
             ]
             sparse = [{c: x for c, x in enumerate(row) if x} for row in m]
             assert rank_int(sparse) == rank_int(m) == rank_fractions(m)
+            # Any Mapping is a sparse row, also mixed with the other kinds;
+            # read as a dense row it would enumerate its keys.
+            proxies = [MappingProxyType(row) for row in sparse]
+            dense = [tuple(row) for row in m]
+            mixed = [(proxies, sparse, dense)[k % 3][k] for k in range(len(m))]
+            assert rank_int(proxies) == rank_int(mixed) == rank_int(m)
 
     def test_rank_shapes_against_fraction_oracle(self):
         rng = random.Random(7)
@@ -292,6 +300,68 @@ class TestCodimOrbit:
         t = T(1, 1)
         assert codim_orbit(t, {MatrixUnit(1, 2): 3}, "P") == 0
         assert codim_orbit(t, {MatrixUnit(1, 2): 0}, "P") == 1
+
+
+def _orbit_inputs():
+    for parts in list(compositions_upto(8)) + list(HEAVY_COMPOSITIONS):
+        yield T(*parts)
+
+
+class TestOrbitRowsOracle:
+    """density_check and codim_orbit against bracketing every basis matrix."""
+
+    def test_density_matches_oracle(self):
+        for t in _orbit_inputs():
+            ls = LS2(t)
+            point = {ln.key: 1 for ln in ls.lines}
+            extra = [{ln.key: 1} for ln in ls.zero_lines()]
+            dim = orbit_span_dimension(t, point, "P'", extra)
+            assert density_check(t, ls) == (dim == len(nilradical_basis(t)), dim)
+
+    def test_codim_orbit_matches_oracle(self):
+        for t in _orbit_inputs():
+            ls2 = LS2(t)
+            section = [ln.unit for ln in step3(ls2).lines]
+            e = [ln.unit for ln in ls2.one_lines()]
+            weighted = {u: 3 if k % 2 else 1 for k, u in enumerate(section)}
+            dim_m = len(nilradical_basis(t))
+            for point in (section, e, weighted):
+                coeffs = point if isinstance(point, dict) else dict.fromkeys(point, 1)
+                keyed = {u.key: c for u, c in coeffs.items()}
+                for group in ("P", "P'"):
+                    expected = dim_m - orbit_span_dimension(t, keyed, group)
+                    assert codim_orbit(t, point, group) == expected, (t, group)
+
+    def test_codim_orbit_of_random_points_matches_oracle(self):
+        # On a line graph (2-colourable) a sign error in the bracket's second
+        # sum only rescales columns and keeps every rank; sparse random points
+        # with odd cycles tell the two apart under P'.
+        rng = random.Random(20261019)
+        for parts in compositions_upto(7):
+            t = T(*parts)
+            units = nilradical_basis(t)
+            dim_m = len(units)
+            for _ in range(4):
+                chosen = rng.sample(units, min(dim_m, rng.randint(1, 5)))
+                point = {u: rng.choice((-3, -1, 1, 2, 3)) for u in chosen}
+                keyed = {u.key: c for u, c in point.items()}
+                for group in ("P", "P'"):
+                    expected = dim_m - orbit_span_dimension(t, keyed, group)
+                    assert codim_orbit(t, point, group) == expected, (parts, point)
+
+    def test_unknown_group(self):
+        with pytest.raises(InvalidInputError, match="unknown group"):
+            codim_orbit(T(2, 1, 1, 2), [MatrixUnit(1, 3)], "B")
+
+    def test_point_outside_the_nilradical(self):
+        # (5, 6) lies inside one column block; (1, 9) beyond the tableau.
+        for t, point in (
+            (T(2, 1, 1, 2), [MatrixUnit(1, 3), MatrixUnit(5, 6)]),
+            (T(1, 1), [MatrixUnit(1, 9)]),
+        ):
+            for group in ("P", "P'"):
+                with pytest.raises(InvalidInputError, match="leaves the nilradical"):
+                    codim_orbit(t, point, group)
 
 
 class TestBattery:
