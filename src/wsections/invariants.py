@@ -16,7 +16,6 @@ coordinates of V kept), and the restriction to the candidate nilfibre point
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .construction import Section
@@ -37,38 +36,27 @@ from .tableau import (
 )
 
 DEFAULT_DET_BOUND = 8
-_DET_BOUND_ENV = "WS_DET_BOUND"
 
 
-def det_size_bound(override: int | None = None) -> int:
-    """Size guard for fully generic determinants; WS_DET_BOUND wins.
+def det_size_bound(bound: int | None = None) -> int:
+    """Size guard for fully generic determinants: bound, or DEFAULT_DET_BOUND.
 
     Raises InvalidInputError for a non-integer bound or one below 1.
     """
-    env = os.environ.get(_DET_BOUND_ENV)
-    if env is not None:
-        try:
-            bound = int(env)
-        except ValueError:
-            raise InvalidInputError(
-                f"{_DET_BOUND_ENV} must be an integer, got {env!r}"
-            ) from None
-    elif override is not None:
-        bound = override
-    else:
-        bound = DEFAULT_DET_BOUND
-    if bound < 1:
-        raise InvalidInputError(f"determinant size bound must be at least 1, got {bound}")
+    if bound is None:
+        return DEFAULT_DET_BOUND
+    if not isinstance(bound, int) or bound < 1:
+        raise InvalidInputError(
+            f"determinant size bound must be an integer of at least 1, got {bound!r}"
+        )
     return bound
 
 
 @dataclass(frozen=True)
 class MinorSpec:
-    """A pair's minor: index sets, translated diagonal, symbolic matrix."""
+    """A pair's minor: size, translated diagonal, degree, symbolic matrix."""
 
     pair: NeighborPair
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
     size: int
     translated: tuple[int, ...]  # entries whose diagonal 1 every top monomial uses
     degree: int
@@ -97,8 +85,6 @@ def build_minor(t: Tableau, pair: NeighborPair) -> MinorSpec:
     require_neighboring(t, pair)
     v, vp, s = pair.v, pair.v_prime, pair.s
     lo, hi = t.composition.prefix(v), t.composition.prefix(vp)
-    rows = tuple(range(lo + 1, hi + 1))
-    cols = tuple(range(s + lo + 1, s + hi + 1))
     size = hi - lo
     translated = tuple(
         entry
@@ -110,8 +96,6 @@ def build_minor(t: Tableau, pair: NeighborPair) -> MinorSpec:
         raise InternalError("translated diagonal does not match size - degree")
     return MinorSpec(
         pair=pair,
-        rows=rows,
-        cols=cols,
         size=size,
         translated=translated,
         degree=degree,

@@ -1,10 +1,12 @@
-"""Exact sparse multivariate polynomials over integer matrix coordinates.
+"""The exact determinant engine and the polynomial value it returns.
 
 Variables are 1-based index pairs (i, j) standing for the coordinate x[i,j];
 a monomial is a tuple of ((i, j), exponent) items sorted by variable, and a
-polynomial maps monomials to nonzero arbitrary-precision integer
-coefficients.  The zero polynomial is the empty mapping.  Nothing here is
-floating point and nothing truncates: exactness is the contract.
+Polynomial maps monomials to nonzero arbitrary-precision integer
+coefficients.  The zero polynomial is the empty mapping.  A Polynomial is a
+value to read (terms, degree, top term, string); nothing here adds or
+multiplies two of them.  Nothing here is floating point and nothing
+truncates: exactness is the contract.
 
 Determinants of matrices whose entries are integers or single variables have
 one engine at every size: a sparse Laplace expansion tabulated over the sets
@@ -28,82 +30,23 @@ Entry = Union[int, Var]
 _ONE: Monomial = ()
 
 
-def _make_monomial(powers: Mapping[Var, int]) -> Monomial:
-    return tuple(sorted((v, e) for v, e in powers.items() if e != 0))
-
-
 class Polynomial:
-    """Sparse integer polynomial in x[i,j] variables."""
+    """Sparse integer polynomial in x[i,j] variables, read but never combined."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
         self.terms: dict[Monomial, int] = {m: c for m, c in (terms or {}).items() if c != 0}
 
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    @classmethod
-    def const(cls, c: int) -> "Polynomial":
-        return cls({_ONE: c})
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
             return self.terms == other.terms
         if isinstance(other, int):
-            return self.terms == Polynomial.const(other).terms
+            return self.terms == ({_ONE: other} if other else {})
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self.terms.items()})
-
-    def __add__(self, other: "Polynomial | int") -> "Polynomial":
-        if isinstance(other, int):
-            other = Polynomial.const(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Polynomial(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "Polynomial | int") -> "Polynomial":
-        return self + (-other)
-
-    def __rsub__(self, other: int) -> "Polynomial":
-        return (-self) + other
-
-    def __mul__(self, other: "Polynomial | int") -> "Polynomial":
-        if isinstance(other, int):
-            if other == 0:
-                return Polynomial.zero()
-            return Polynomial({m: c * other for m, c in self.terms.items()})
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return Polynomial(out)
-
-    __rmul__ = __mul__
 
     def degree(self) -> int:
         """Maximal total exponent; -1 for the zero polynomial."""
@@ -150,17 +93,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_string()})"
-
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    powers = dict(a)
-    for v, e in b:
-        powers[v] = powers.get(v, 0) + e
-    return _make_monomial(powers)
 
 
 @dataclass(frozen=True)

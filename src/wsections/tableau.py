@@ -198,17 +198,13 @@ def neighboring_pairs(t: Tableau) -> tuple[NeighborPair, ...]:
     return tuple(sorted(pairs, key=lambda p: (p.s, p.v)))
 
 
-def is_neighboring(t: Tableau, p: NeighborPair) -> bool:
-    parts = t.composition.parts
-    if not (1 <= p.v < p.v_prime <= len(parts)):
-        return False
-    if parts[p.v - 1] != p.s or parts[p.v_prime - 1] != p.s:
-        return False
-    return all(parts[w - 1] != p.s for w in range(p.v + 1, p.v_prime))
-
-
 def require_neighboring(t: Tableau, p: NeighborPair) -> None:
-    if not is_neighboring(t, p):
+    parts = t.composition.parts
+    if not (
+        1 <= p.v < p.v_prime <= len(parts)
+        and parts[p.v - 1] == parts[p.v_prime - 1] == p.s
+        and all(parts[w - 1] != p.s for w in range(p.v + 1, p.v_prime))
+    ):
         raise InvalidInputError(f"({p.v}, {p.v_prime}) is not a neighboring pair of height {p.s}")
 
 

@@ -55,15 +55,6 @@ def coroot_pairing(w: Weight, k: int) -> int:
     return 2 * w[k - 1] - left - right
 
 
-@dataclass(frozen=True)
-class SeparationMatrix:
-    """Pairings of the 1-line weights against the reduced-tableau coroots."""
-
-    lines: tuple[Line, ...]
-    entries: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
-
-
 def _require_step2(ls: LineSet) -> None:
     if ls.step != 2:
         raise InvalidStateError("this check reads the horizontal step-2 labelling")
@@ -76,20 +67,17 @@ def reduced_entries(t: Tableau) -> tuple[int, ...]:
     )
 
 
-def separation_matrix(t: Tableau, ls: LineSet) -> SeparationMatrix:
+def separation_matrix(t: Tableau, ls: LineSet) -> tuple[tuple[int, ...], ...]:
+    """Rows: the 1-lines' weights paired against the reduced-tableau coroots."""
     _require_step2(ls)
-    lines = ls.one_lines()
-    entries = tuple(sorted(reduced_entries(t)))
-    rows = []
-    for ln in lines:
-        w = line_weight(t, ln)
-        rows.append(tuple(coroot_pairing(w, k) for k in entries))
-    return SeparationMatrix(lines=lines, entries=entries, rows=tuple(rows))
+    entries = sorted(reduced_entries(t))
+    weights = (line_weight(t, ln) for ln in ls.one_lines())
+    return tuple(tuple(coroot_pairing(w, k) for k in entries) for w in weights)
 
 
 def separation_rank(t: Tableau, ls: LineSet) -> int:
     """Exact rank of the separation matrix; the contract is rank == #1-lines."""
-    return rank_int(separation_matrix(t, ls).rows)
+    return rank_int(separation_matrix(t, ls))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ package: determinants by full permutation expansion and by fraction-free
 elimination over fractions, composite-line covers by recursive backtracking,
 restrictions by substituting into the expanded polynomial, orbit tangent
 spaces by bracketing every basis matrix of p with every unit of the point,
-the nilradical by testing all n^2 positions.
+the nilradical by testing all n^2 positions.  The package's Polynomial is a
+value only; Ring adds the arithmetic these oracles and the tests need.
 """
 from __future__ import annotations
 
@@ -18,26 +19,64 @@ from wsections.errors import InternalError
 from wsections.poly import Monomial, Polynomial, SymbolicMatrix
 
 
-def X(i: int, j: int) -> Polynomial:
+class Ring(Polynomial):
+    """A Polynomial with the ring arithmetic the oracles below use."""
+
+    __slots__ = ()
+
+    def __neg__(self) -> "Ring":
+        return Ring({m: -c for m, c in self.terms.items()})
+
+    def __add__(self, other) -> "Ring":
+        out = dict(self.terms)
+        for m, c in lift(other).terms.items():
+            out[m] = out.get(m, 0) + c
+        return Ring(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Ring":
+        return self + -lift(other)
+
+    def __mul__(self, other) -> "Ring":
+        out: dict[Monomial, int] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in lift(other).terms.items():
+                powers = dict(m1)
+                for v, e in m2:
+                    powers[v] = powers.get(v, 0) + e
+                m = tuple(sorted(powers.items()))
+                out[m] = out.get(m, 0) + c1 * c2
+        return Ring(out)
+
+    __rmul__ = __mul__
+
+
+def lift(p: "Polynomial | int") -> Ring:
+    """p as a Ring element; an int is a constant."""
+    return Ring({(): p}) if isinstance(p, int) else Ring(p.terms)
+
+
+def X(i: int, j: int) -> Ring:
     """The coordinate polynomial x[i,j]."""
-    return Polynomial({(((i, j), 1),): 1})
+    return Ring({(((i, j), 1),): 1})
 
 
-def _entry(cell) -> Polynomial:
-    return Polynomial.const(cell) if isinstance(cell, int) else X(*cell)
+def _entry(cell) -> Ring:
+    return lift(cell) if isinstance(cell, int) else X(*cell)
 
 
-def det_permutation_expansion(matrix: SymbolicMatrix) -> Polynomial:
+def det_permutation_expansion(matrix: SymbolicMatrix) -> Ring:
     """Sum over all permutations of signed entry products."""
     m = matrix.size
-    total = Polynomial.zero()
+    total = lift(0)
     for perm in permutations(range(m)):
         sign = _perm_sign(perm)
-        product = Polynomial.const(sign)
+        product = lift(sign)
         for r in range(m):
             cell = matrix.rows[r][perm[r]]
             if cell == 0:
-                product = Polynomial.zero()
+                product = lift(0)
                 break
             product = product * _entry(cell)
         total = total + product
@@ -53,7 +92,7 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def det_fraction_free(matrix: SymbolicMatrix) -> Polynomial:
+def det_fraction_free(matrix: SymbolicMatrix) -> Ring:
     """Bareiss elimination over the polynomial ring.
 
     Pivots prefer integer entries, then short polynomials; every division is
@@ -62,11 +101,11 @@ def det_fraction_free(matrix: SymbolicMatrix) -> Polynomial:
     m = matrix.size
     a = [[_entry(cell) for cell in row] for row in matrix.rows]
     sign = 1
-    prev = Polynomial.const(1)
+    prev = lift(1)
     for k in range(m - 1):
         pivot_row = _pick_pivot(a, k)
         if pivot_row is None:
-            return Polynomial.zero()
+            return lift(0)
         if pivot_row != k:
             a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
@@ -78,13 +117,13 @@ def det_fraction_free(matrix: SymbolicMatrix) -> Polynomial:
             lead = row_i[k]
             for j in range(k + 1, m):
                 row_i[j] = divexact(pivot * row_i[j] - lead * a[k][j], prev)
-            row_i[k] = Polynomial.zero()
+            row_i[k] = lift(0)
         prev = pivot
     result = a[m - 1][m - 1]
     return result if sign == 1 else -result
 
 
-def _pick_pivot(a: list[list[Polynomial]], k: int) -> int | None:
+def _pick_pivot(a: list[list[Ring]], k: int) -> int | None:
     best = None
     best_key = None
     for i in range(k, len(a)):
@@ -116,12 +155,12 @@ def _leading(p: Polynomial) -> tuple[Monomial, int]:
     return lead, p.terms[lead]
 
 
-def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
+def divexact(f: Polynomial, g: Polynomial) -> Ring:
     """Exact quotient f / g; raises InternalError when g does not divide f."""
     if g.is_zero():
         raise InternalError("division by the zero polynomial")
     quotient: dict[Monomial, int] = {}
-    rem = Polynomial(dict(f.terms))
+    rem = lift(f)
     mg, cg = _leading(g)
     dg = dict(mg)
     while not rem.is_zero():
@@ -132,8 +171,8 @@ def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
         qc = cf // cg
         qm = tuple(sorted((v, e - dg.get(v, 0)) for v, e in df.items() if e != dg.get(v, 0)))
         quotient[qm] = quotient.get(qm, 0) + qc
-        rem = rem - Polynomial({qm: qc}) * g
-    return Polynomial(quotient)
+        rem = rem - Ring({qm: qc}) * g
+    return Ring(quotient)
 
 
 def rank_fractions(rows) -> int:
@@ -264,11 +303,11 @@ def ungated_zero_lines(ls):
     return tuple(ln for ln in ls.lines if ln.label == 0 and not ln.gated)
 
 
-def substitute(p: Polynomial, assignment) -> Polynomial:
+def substitute(p: Polynomial, assignment) -> Ring:
     """Exact substitution of integers or variables into p; others persist."""
-    out = Polynomial.zero()
+    out = lift(0)
     for mono, coeff in p.terms.items():
-        term = Polynomial.const(coeff)
+        term = lift(coeff)
         for var, exp in mono:
             for _ in range(exp):
                 term = term * _entry(assignment.get(var, var))

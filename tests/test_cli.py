@@ -128,21 +128,22 @@ class TestVerify:
         outer = [p for p in report["pairs"] if p["pair"] == [1, 4]][0]
         assert outer["degree_observed"] is None
 
-    def test_env_bound_override(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("WS_DET_BOUND", "3")
+    def test_bound_flag_admits_minor_of_its_size(self, capsys, tmp_path):
         code, _, _ = run(
-            ["verify", "-c", "2,1,1,2", "--det-size-bound", "9", "-o", str(tmp_path)],
+            ["verify", "-c", "2,1,1,2", "--det-size-bound", "4", "-o", str(tmp_path)],
             capsys,
         )
         assert code == 0
         report = json.loads((tmp_path / "verify-2-1-1-2.json").read_text())
-        assert len(report["skipped"]) == 1
+        assert report["skipped"] == []
 
-    def test_bad_env_bound_exit_2(self, capsys, tmp_path, monkeypatch):
-        for value in ("abc", "0", "-1"):
-            monkeypatch.setenv("WS_DET_BOUND", value)
-            code, _, err = run(["verify", "-c", "2,1,1,2", "-o", str(tmp_path)], capsys)
-            assert code == 2 and "error" in err
+    def test_bad_bound_flag_exit_2(self, capsys, tmp_path):
+        for command in (["verify", "-c", "2,1,1,2"], ["sweep", "--n-max", "2"]):
+            code, _, err = run(command + ["--det-size-bound", "0", "-o", str(tmp_path)], capsys)
+            assert code == 2 and "at least 1" in err
+            with pytest.raises(SystemExit) as exc:
+                cli.main(command + ["--det-size-bound", "abc", "-o", str(tmp_path)])
+            assert exc.value.code == 2
         assert not list(tmp_path.iterdir())
 
     def test_negative_bound_flag_exit_2(self, capsys, tmp_path):

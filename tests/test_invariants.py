@@ -7,6 +7,7 @@ from helpers import (
     count_section_permutations,
     det_fraction_free,
     det_permutation_expansion,
+    lift,
     substitute,
 )
 from wsections import invariants
@@ -45,7 +46,7 @@ def section_of(t):
 
 
 def plus_minus(p, q):
-    return p == q or p == -q
+    return p == q or p == -lift(q)
 
 
 class TestBuildMinor:
@@ -62,7 +63,7 @@ class TestBuildMinor:
     def test_outer_pair_2112(self):
         ms = build_minor(T(2, 1, 1, 2), NeighborPair(1, 4, 2))
         assert ms.size == 4 and ms.degree == 4 and ms.translated == ()
-        assert ms.rows == (1, 2, 3, 4) and ms.cols == (3, 4, 5, 6)
+        assert ms.matrix.rows[0] == ((1, 3), (1, 4), (1, 5), (1, 6))
 
     def test_translated_diagonal_131(self):
         ms = build_minor(T(1, 3, 1), NeighborPair(1, 3, 1))
@@ -211,6 +212,35 @@ class TestRestrictToE:
             restrict_to_E(build_minor(t, NeighborPair(1, 2, 1)), broken)
 
 
+class TestNilfibreIsConstantTerm:
+    # The nilfibre evaluation is the section restriction with V set to 0.
+    @staticmethod
+    def nonzero_nilfibre_values(t, sec):
+        e_keys = {u.key for u in sec.e}
+        count = 0
+        for pair in neighboring_pairs(t):
+            ms = build_minor(t, pair)
+            value = invariants._specialise(ms, e_keys, set())
+            assert value == restrict_to_section(ms, sec).terms.get((), 0)
+            count += not value.is_zero()
+        return count
+
+    def test_step3_sections(self):
+        for parts in compositions_upto(8):
+            t = T(*parts)
+            assert self.nonzero_nilfibre_values(t, section_of(t)) == 0
+
+    def test_sections_with_one_v_unit_moved_into_e(self):
+        nonzero = 0
+        for parts in compositions_upto(8):
+            t = T(*parts)
+            sec = section_of(t)
+            for u in sec.v:
+                rest = tuple(w for w in sec.v if w != u)
+                nonzero += self.nonzero_nilfibre_values(t, Section(e=sec.e + (u,), v=rest))
+        assert nonzero > 0
+
+
 class TestGenericInvariant:
     def test_1221_displayed_polynomials(self):
         t = T(1, 2, 2, 1)
@@ -253,24 +283,18 @@ class TestGenericInvariant:
         with pytest.raises(ResourceLimitError):
             generic_invariant(build_minor(t, NeighborPair(1, 3, 1)), 4)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("WS_DET_BOUND", "2")
-        assert det_size_bound(9) == 2
-        t = T(2, 1, 1, 2)
-        with pytest.raises(ResourceLimitError):
-            generic_invariant(build_minor(t, NeighborPair(1, 4, 2)))
-        monkeypatch.delenv("WS_DET_BOUND")
+    def test_bound_argument_replaces_default(self):
         assert det_size_bound() == 8
+        assert det_size_bound(2) == 2
+        ms = build_minor(T(2, 1, 1, 2), NeighborPair(1, 4, 2))
+        with pytest.raises(ResourceLimitError):
+            generic_invariant(ms, det_size_bound(2))
+        assert generic_invariant(ms).degree() == ms.degree
 
-    def test_bound_must_be_positive_integer(self, monkeypatch):
-        for value in ("abc", "2.5", "0", "-1"):
-            monkeypatch.setenv("WS_DET_BOUND", value)
+    def test_bound_must_be_positive_integer(self):
+        for bound in ("abc", "3", 2.5, 0, -1):
             with pytest.raises(InvalidInputError):
-                det_size_bound()
-        monkeypatch.delenv("WS_DET_BOUND")
-        for override in (0, -1):
-            with pytest.raises(InvalidInputError):
-                det_size_bound(override)
+                det_size_bound(bound)
         assert det_size_bound(1) == 1
 
     def test_matches_permutation_oracle(self):
@@ -289,13 +313,13 @@ class TestGenericInvariant:
         t = T(1, 1, 1)
         far = det(_raw_minor_matrix(t, 1, 3, 1)).top_term()
         assert far == X(1, 2) * X(2, 3)
-        assert far == generic_invariant(build_minor(t, NeighborPair(1, 2, 1))) * generic_invariant(
-            build_minor(t, NeighborPair(2, 3, 1))
-        )
+        left = generic_invariant(build_minor(t, NeighborPair(1, 2, 1)))
+        right = generic_invariant(build_minor(t, NeighborPair(2, 3, 1)))
+        assert far == lift(left) * right
 
         t = T(2, 2, 2)
         wide = det(_raw_minor_matrix(t, 1, 3, 2)).top_term()
-        product = generic_invariant(build_minor(t, NeighborPair(1, 2, 2))) * generic_invariant(
-            build_minor(t, NeighborPair(2, 3, 2))
-        )
+        left = generic_invariant(build_minor(t, NeighborPair(1, 2, 2)))
+        right = generic_invariant(build_minor(t, NeighborPair(2, 3, 2)))
+        product = lift(left) * right
         assert plus_minus(wide, product)

@@ -32,6 +32,7 @@ from wsections.verify import (
     density_check,
     grading_element,
     line_weight,
+    reduced_entries,
     separation_matrix,
     separation_rank,
     verify_composition,
@@ -155,23 +156,22 @@ class TestSeparation:
     def test_reduced_entry_count_is_derived_cartan_dimension(self):
         for parts in compositions_upto(8):
             t = T(*parts)
-            sm = separation_matrix(t, LS2(t))
-            assert len(sm.entries) == t.n - len(parts)
+            assert len(reduced_entries(t)) == t.n - len(parts)
 
     def test_triangular_unimodular_witness(self):
         for parts in compositions_upto(7):
             t = T(*parts)
             for mode in (RIGHTMOST, LEFTMOST):
-                sm = separation_matrix(t, LS2(t, mode))
-                if not sm.rows:
+                rows = separation_matrix(t, LS2(t, mode))
+                if not rows:
                     continue
-                witness = triangular_unimodular_witness(sm.rows)
+                witness = triangular_unimodular_witness(rows)
                 assert witness is not None
-                assert len(witness) == len(sm.rows)
+                assert len(witness) == len(rows)
                 for a, (ra, ca) in enumerate(witness):
-                    assert sm.rows[ra][ca] in (1, -1)
+                    assert rows[ra][ca] in (1, -1)
                     for rb, _ in witness[a + 1 :]:
-                        assert sm.rows[rb][ca] == 0
+                        assert rows[rb][ca] == 0
 
     def test_rejects_wrong_stage(self):
         t = T(2, 2)
@@ -370,15 +370,13 @@ class TestBattery:
     # A deliberate report change (a schema bump) updates it in the same commit.
     GOLDEN_DIGEST = "a9f5dffa53dc81c24c25a785cef309b8ce58ba9aaa384c529f1d44824e31ee48"
 
-    def test_golden_report_digest(self, monkeypatch):
-        monkeypatch.delenv("WS_DET_BOUND", raising=False)
+    def test_golden_report_digest(self):
         inputs = list(compositions_upto(8)) + list(HEAVY_COMPOSITIONS)
         reports = [verify_composition(parts, 8) for parts in inputs]
         text = json.dumps(reports, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN_DIGEST
 
-    def test_size_14_generic_minor_is_checked(self, monkeypatch):
-        monkeypatch.delenv("WS_DET_BOUND", raising=False)
+    def test_size_14_generic_minor_is_checked(self):
         start = time.perf_counter()
         report = verify_composition((2, 3, 3, 3, 3, 2), 16)
         assert time.perf_counter() - start < 60
@@ -387,10 +385,9 @@ class TestBattery:
         assert outer["size"] == 14
         assert outer["degree_observed"] == outer["degree_formula"]
 
-    def test_size_17_generic_minor_fits_the_memo_budget(self, monkeypatch):
+    def test_size_17_generic_minor_fits_the_memo_budget(self):
         # The full expansion of pair (1,7)'s generic minor exceeds
         # MEMO_BUDGET; its top-degree expansion does not.
-        monkeypatch.delenv("WS_DET_BOUND", raising=False)
         start = time.perf_counter()
         report = verify_composition((2, 3, 3, 3, 3, 3, 2), 17)
         assert time.perf_counter() - start < 60
@@ -403,7 +400,6 @@ class TestBattery:
         # Pair (1,4) of 1,2,2,1 tabulates 38 entries for the top-degree
         # expansion of its generic minor (54 in full), its restriction 10,
         # its nilfibre 5, and pair (2,3) at most 7.
-        monkeypatch.delenv("WS_DET_BOUND", raising=False)
         monkeypatch.setattr(poly, "MEMO_BUDGET", 20)
         report = verify_composition((1, 2, 2, 1), 8)
         assert report["skipped"] == ["pair (1,4) size 5"]
