@@ -240,7 +240,7 @@ def _apply_stage(t: Tableau, lines: dict[tuple[int, int], Line], pair: NeighborP
             raise InternalError(f"missing row segment {seg}")
         del lines[seg]
 
-    def add(a: int, b: int, label: int, gated_flag: bool = False) -> None:
+    def add(a: int, b: int, label: int) -> None:
         if (a, b) in lines:
             raise InternalError(f"duplicate line {(a, b)}")
         lines[(a, b)] = Line(a, b, label=label, stage=i)

@@ -6,8 +6,9 @@ shifted s further; writing m for its size, the matrix is evaluated on the
 identity translate of a generic nilradical point, so position (a, b) holds
 the variable x[a,b] when that coordinate lives in the nilradical, 1 when
 a == b, and 0 otherwise.  The entries of boxes lying strictly between the
-pair in rows below s index the diagonal ones that are forced into every top
-monomial; their count is size - degree.
+pair in rows below s make up translated.  Only their count, size - degree,
+holds: each top monomial uses that many diagonal ones, but not always these
+(pair (1,3) of 1,2,1 has translated (3,), and x[1,3]*x[3,4] uses the 1 at (2,2)).
 
 Three evaluations matter: the fully generic determinant (whose top term is
 the invariant attached to the pair), the restriction to a section (1 on e,
@@ -58,7 +59,7 @@ class MinorSpec:
 
     pair: NeighborPair
     size: int
-    translated: tuple[int, ...]  # entries whose diagonal 1 every top monomial uses
+    translated: tuple[int, ...]  # size - degree entries; only the count is meaningful
     degree: int
     matrix: SymbolicMatrix
 
@@ -153,8 +154,8 @@ def restrict_to_E(ms: MinorSpec, sec: Section) -> Polynomial:
 def generic_invariant(ms: MinorSpec, bound: int | None = None) -> Polynomial:
     """Top term of the fully generic translated minor determinant.
 
-    The determinant is expanded in det's top mode, which keeps only the
-    cofactors of highest degree.  bound is a resolved size bound; None
+    The determinant is expanded in det's top mode, which builds only the
+    monomials of highest degree.  bound is a resolved size bound; None
     resolves it with det_size_bound().
     """
     if bound is None:

@@ -11,14 +11,16 @@ truncates: exactness is the contract.
 Determinants of matrices whose entries are integers or single variables have
 one engine at every size: a sparse Laplace expansion tabulated over the sets
 of columns left free, whose tables hold plain monomial -> coefficient dicts.
-Its top mode, which the generic invariants use, keeps only the cofactors of
-highest degree in every table; it is exact when no two permutations share a
-monomial, which it checks first.  A determinant whose tables would outgrow
-MEMO_BUDGET entries raises ResourceLimitError rather than exhaust memory.
+Its top mode, which the generic invariants use, counts top-degree completions
+instead and builds each top monomial once, by a walk along the tight cells;
+it is exact when no two permutations share a monomial, which it checks first.
+A determinant whose tables would outgrow MEMO_BUDGET entries raises
+ResourceLimitError rather than exhaust memory.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
 from .errors import InternalError, InvalidInputError, ResourceLimitError, UndefinedGradingError
@@ -28,6 +30,7 @@ Monomial = tuple[tuple[Var, int], ...]
 Entry = Union[int, Var]
 
 _ONE: Monomial = ()
+_EXPONENT = itemgetter(1)
 
 
 class Polynomial:
@@ -52,20 +55,17 @@ class Polynomial:
         """Maximal total exponent; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(e for _, e in m) for m in self.terms)
+        return max([sum(map(_EXPONENT, m)) for m in self.terms])
 
     def top_term(self) -> "Polynomial":
         """Homogeneous component of maximal total degree."""
         if not self.terms:
             raise UndefinedGradingError("the zero polynomial has no top term")
-        best, kept = -1, {}
-        for m, c in self.terms.items():
-            d = sum(e for _, e in m)
-            if d > best:
-                best, kept = d, {m: c}
-            elif d == best:
-                kept[m] = c
-        return Polynomial(kept)
+        degrees = [sum(map(_EXPONENT, m)) for m in self.terms]
+        best = max(degrees)
+        if min(degrees) == best:
+            return self  # already homogeneous; a Polynomial is never changed
+        return Polynomial({m: c for (m, c), d in zip(self.terms.items(), degrees) if d == best})
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         return sorted(self.terms.items())
@@ -73,13 +73,17 @@ class Polynomial:
     def to_string(self) -> str:
         if not self.terms:
             return "0"
+        names = {  # each (variable, exponent) item is named once per call
+            (v, e): f"x[{v[0]},{v[1]}]" + (f"^{e}" if e > 1 else "")
+            for v, e in {item for mono in self.terms for item in mono}
+        }
         pieces = []
-        for mono, coeff in self.sorted_terms():
-            factors = [f"x[{i},{j}]" + (f"^{e}" if e > 1 else "") for (i, j), e in mono]
-            if not factors:
+        for mono in sorted(self.terms):  # distinct keys: sorted_terms' order
+            coeff = self.terms[mono]
+            if not mono:
                 body = str(abs(coeff))
             else:
-                body = "*".join(factors)
+                body = "*".join(map(names.__getitem__, mono))
                 if abs(coeff) != 1:
                     body = f"{abs(coeff)}*{body}"
             if not pieces:
@@ -130,28 +134,27 @@ MEMO_BUDGET = 1 << 20  # column sets plus terms one determinant may tabulate
 def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
     """Exact symbolic determinant by sparse Laplace expansion.
 
-    Rows are expanded sparsest first.  For every set of columns the rows
-    above can leave free, a table holds the minor of the remaining rows on
-    those columns, as its degree and a monomial -> coefficient dict.  The
-    tables are built from the last row up, and each is dropped once the row
-    above has used it.  Raises ResourceLimitError once the column sets and
-    terms tabulated for this determinant exceed MEMO_BUDGET.
+    Rows are expanded sparsest first, over every set of columns the rows
+    above can leave free, from the last row up.  In full mode each column
+    set holds the minor of the remaining rows on it as a monomial ->
+    coefficient dict, dropped once the row above has used it.  Raises
+    ResourceLimitError once the column sets and terms tabulated for this
+    determinant exceed MEMO_BUDGET.
 
     With top=True only the homogeneous component of maximal total degree is
-    expanded: every table keeps the cofactors of its highest degree and
-    skips the rest.  That is exact only when no two permutations share a
-    monomial, so top mode first checks that no variable appears twice and
+    expanded: each column set holds its rows' best degree, how many
+    completions reach it and the tight cells that lead there, and a walk on
+    an explicit stack along those cells yields one top monomial per leaf.
+    The budget counts the completions, the terms a table of top-degree
+    cofactors would hold.  That is exact only when no two permutations share
+    a monomial, so top mode first checks that no variable appears twice and
     no row holds two nonzero constants, and raises InternalError otherwise.
     """
     m = matrix.size
-    # rise: the degree a cell adds to its cofactor, counted in top mode only.
-    nonzero = [
-        [(c, cell, top and not isinstance(cell, int)) for c, cell in enumerate(row) if cell != 0]
-        for row in matrix.rows
-    ]
+    nonzero = [[(c, cell) for c, cell in enumerate(row) if cell != 0] for row in matrix.rows]
     if top:
         # Each variable, and each row's nonzero constant, may occur once.
-        keys = [cell if rise else r for r, row in enumerate(nonzero) for _, cell, rise in row]
+        keys = [r if isinstance(x, int) else x for r, row in enumerate(nonzero) for _, x in row]
         if len(set(keys)) < len(keys):
             raise InternalError("top mode: a variable repeats or a row holds two constants")
     order = sorted(range(m), key=lambda r: (len(nonzero[r]), r))
@@ -159,34 +162,70 @@ def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
     free = [{(1 << m) - 1}]
     held = 1
     for row in rows[:-1]:
-        free.append({mask ^ 1 << c for mask in free[-1] for c, _, _ in row if mask >> c & 1})
+        free.append({mask ^ 1 << c for mask in free[-1] for c, _ in row if mask >> c & 1})
         held += len(free[-1])
         _check_budget(held, m)
-    minors: dict[int, tuple[int, dict[Monomial, int]]] = {0: (0, {_ONE: 1})}
+    sign = _permutation_sign(order)
+    if top:
+        return Polynomial(_top_terms(rows, free, held, sign))
+    minors: dict[int, dict[Monomial, int]] = {0: {_ONE: 1}}
     for row, masks in zip(reversed(rows), reversed(free)):
         table = {}
         for mask in masks:
-            best, total = -1, {}
-            for c, cell, rise in row:
+            total: dict[Monomial, int] = {}
+            for c, cell in row:
                 bit = 1 << c
-                if mask & bit:
-                    degree, sub = minors[mask ^ bit]
-                    if sub:
-                        degree += rise
-                        if degree < best:
-                            continue
-                        if degree > best:
-                            best, total = degree, {}
-                        # Moving column c to the front passes the free columns below it.
-                        _add_product(total, sub, cell, (mask & (bit - 1)).bit_count() & 1)
-            table[mask] = best, total
+                if mask & bit and (sub := minors[mask ^ bit]):
+                    # Moving column c to the front passes the free columns below it.
+                    _add_product(total, sub, cell, (mask & (bit - 1)).bit_count() & 1)
+            table[mask] = total
             held += len(total)
             _check_budget(held, m)
         minors = table
-    terms = minors[(1 << m) - 1][1]
-    if _permutation_sign(order) == -1:
-        terms = {mono: -coeff for mono, coeff in terms.items()}
-    return Polynomial(terms)
+    terms = minors[(1 << m) - 1]
+    return Polynomial(terms if sign == 1 else {mono: -coeff for mono, coeff in terms.items()})
+
+
+def _top_terms(rows: list, free: list, held: int, sign: int) -> dict[Monomial, int]:
+    """Top-degree terms of a guarded matrix: count completions, then walk the tight cells."""
+    m = len(rows)
+    # reach[mask]: (best degree of the rows below on mask, completions reaching it,
+    # tight cells (the cells to follow next or None at the end, multiplier, items)).
+    reach: dict[int, tuple] = {0: (0, 1, None)}
+    for row, masks in zip(reversed(rows), reversed(free)):
+        table = {}
+        for mask in masks:
+            best, count, cells = -1, 0, []
+            for c, cell in row:
+                bit = 1 << c
+                if mask & bit:
+                    degree, n, sub = reach[mask ^ bit]
+                    degree += not isinstance(cell, int)
+                    if not n or degree < best:
+                        continue
+                    if degree > best:
+                        best, count, cells = degree, 0, []
+                    mult, item = (cell, ()) if isinstance(cell, int) else (1, ((cell, 1),))
+                    if sub and len(sub) == 1:  # a forced step below: take it here
+                        sub, sub_mult, sub_item = sub[0]
+                        mult, item = mult * sub_mult, item + sub_item
+                    odd = (mask & (bit - 1)).bit_count() & 1  # as in full mode
+                    cells.append((sub, -mult if odd else mult, item))
+                    count += n
+            table[mask] = best, count, cells
+            held += count
+            _check_budget(held, m)
+        reach = table
+    terms = {}  # no two leaves share a monomial (the guard): nothing merges or cancels
+    stack = [(reach[(1 << m) - 1][2], sign, ())]
+    while stack:
+        cells, coeff, items = stack.pop()
+        for sub, mult, item in cells:
+            if sub is None:
+                terms[tuple(sorted(items + item))] = coeff * mult
+            else:
+                stack.append((sub, coeff * mult, items + item))
+    return terms
 
 
 def _check_budget(held: int, size: int) -> None:

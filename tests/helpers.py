@@ -6,8 +6,9 @@ package: determinants by full permutation expansion and by fraction-free
 elimination over fractions, composite-line covers by recursive backtracking,
 restrictions by substituting into the expanded polynomial, orbit tangent
 spaces by bracketing every basis matrix of p with every unit of the point,
-the nilradical by testing all n^2 positions.  The package's Polynomial is a
-value only; Ring adds the arithmetic these oracles and the tests need.
+the nilradical by testing all n^2 positions, polynomial strings by one
+f-string per factor.  The package's Polynomial is a value only; Ring adds
+the arithmetic these oracles and the tests need.
 """
 from __future__ import annotations
 
@@ -68,16 +69,13 @@ def _entry(cell) -> Ring:
 
 def det_permutation_expansion(matrix: SymbolicMatrix) -> Ring:
     """Sum over all permutations of signed entry products."""
-    m = matrix.size
     total = lift(0)
-    for perm in permutations(range(m)):
-        sign = _perm_sign(perm)
-        product = lift(sign)
-        for r in range(m):
-            cell = matrix.rows[r][perm[r]]
-            if cell == 0:
-                product = lift(0)
-                break
+    for perm in permutations(range(matrix.size)):
+        cells = [row[c] for row, c in zip(matrix.rows, perm)]
+        if 0 in cells:
+            continue
+        product = lift(_perm_sign(perm))
+        for cell in cells:
             product = product * _entry(cell)
         total = total + product
     return total
@@ -173,6 +171,26 @@ def divexact(f: Polynomial, g: Polynomial) -> Ring:
         quotient[qm] = quotient.get(qm, 0) + qc
         rem = rem - Ring({qm: qc}) * g
     return Ring(quotient)
+
+
+def to_string_fstrings(p: Polynomial) -> str:
+    """The renderer's reference: one f-string per factor, no name reuse."""
+    if not p.terms:
+        return "0"
+    pieces = []
+    for mono, coeff in sorted(p.terms.items()):
+        factors = [f"x[{i},{j}]" + (f"^{e}" if e > 1 else "") for (i, j), e in mono]
+        if not factors:
+            body = str(abs(coeff))
+        else:
+            body = "*".join(factors)
+            if abs(coeff) != 1:
+                body = f"{abs(coeff)}*{body}"
+        if not pieces:
+            pieces.append(body if coeff > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(pieces)
 
 
 def rank_fractions(rows) -> int:

@@ -9,8 +9,9 @@ from helpers import (
     det_permutation_expansion,
     lift,
     substitute,
+    to_string_fstrings,
 )
-from wsections import invariants
+from wsections import invariants, poly
 from wsections.construction import Section, extract_section, step1, step2, step3
 from wsections.errors import (
     InvalidInputError,
@@ -75,12 +76,22 @@ class TestBuildMinor:
         assert ms.matrix.rows[3][2] == 1  # position (4, 4)
         assert ms.matrix.rows[2][0] == 0  # x[3,2] not in the nilradical
 
+    def test_translated_is_a_count_not_a_set_121(self):
+        ms = build_minor(T(1, 2, 1), NeighborPair(1, 3, 1))
+        assert ms.translated == (3,) and ms.size - ms.degree == 1
+        assert generic_invariant(ms).to_string() == "-x[1,2]*x[2,4] - x[1,3]*x[3,4]"
+        # x[1,3]*x[3,4] takes the 1 at (2,2), not the 1 at (3,3) that translated names.
+        assert ms.matrix.rows[1][0] == ms.matrix.rows[2][1] == 1
+
     def test_bookkeeping_size_minus_degree(self):
-        for parts in compositions_upto(7):
+        # Every top monomial takes size - degree diagonal ones, so that is
+        # the count translated must have.
+        for parts in compositions_upto(8):
             t = T(*parts)
             for pair in neighboring_pairs(t):
                 ms = build_minor(t, pair)
-                assert len(ms.translated) == ms.size - ms.degree
+                observed = generic_invariant(ms, ms.size).degree()
+                assert len(ms.translated) == ms.size - ms.degree == ms.size - observed
 
     def test_rejects_non_neighboring(self):
         with pytest.raises(InvalidInputError):
@@ -277,6 +288,27 @@ class TestGenericInvariant:
         ms = build_minor(T(2, 3, 3, 3, 3, 2), NeighborPair(1, 6, 2))
         assert ms.size == 14
         assert det(ms.matrix, top=True) == det(ms.matrix).top_term()
+
+    def test_top_mode_budget_thresholds(self, monkeypatch):
+        # The least MEMO_BUDGET each top-degree expansion fits: column sets
+        # plus the terms of every top-degree table.
+        for parts, pair, threshold in (
+            ((1, 2, 2, 1), NeighborPair(1, 4, 1), 38),
+            ((2, 3, 3, 3, 3, 2), NeighborPair(1, 6, 2), 22_531),
+        ):
+            matrix = build_minor(T(*parts), pair).matrix
+            monkeypatch.setattr(poly, "MEMO_BUDGET", threshold)
+            det(matrix, top=True)
+            monkeypatch.setattr(poly, "MEMO_BUDGET", threshold - 1)
+            with pytest.raises(ResourceLimitError, match="more than"):
+                det(matrix, top=True)
+
+    def test_renderer_matches_fstring_oracle(self):
+        for parts in compositions_upto(8):
+            t = T(*parts)
+            for pair in neighboring_pairs(t):
+                inv = generic_invariant(build_minor(t, pair), 8)
+                assert inv.to_string() == to_string_fstrings(inv)
 
     def test_size_guard(self):
         t = T(1, 7, 1)

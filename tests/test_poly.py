@@ -14,6 +14,7 @@ from helpers import (
     lift,
     random_symbolic_matrix,
     substitute,
+    to_string_fstrings,
 )
 from wsections.errors import InternalError, ResourceLimitError, UndefinedGradingError
 from wsections.poly import Polynomial, SymbolicMatrix, det
@@ -134,6 +135,11 @@ class TestToString:
         p = X(1, 5) + X(1, 4) + X(2, 3) - 7
         assert p.to_string() == Polynomial(dict(reversed(p.sorted_terms()))).to_string()
 
+    @given(polynomials(max_terms=6, max_vars=4, max_exp=3, max_coeff=9))
+    @settings(max_examples=200)
+    def test_matches_fstring_oracle(self, p):
+        assert p.to_string() == to_string_fstrings(p)
+
 
 class TestDet:
     def test_cofactor_2x2(self):
@@ -219,6 +225,35 @@ class TestDet:
             m = SymbolicMatrix(tuple(rows))
             full = det_permutation_expansion(m)
             assert det(m, top=True) == (full if full.is_zero() else full.top_term())
+
+    def test_top_mode_matches_permutation_expansion_sizes_7_to_9(self):
+        # Variable names are drawn at random, so a variable's first index is
+        # not its row and a leaf must sort its variables; constants include
+        # negative and non-unit ones; a third of the matrices give two rows
+        # the same single column, so no permutation survives and det is 0.
+        rng = random.Random(7919)
+        names = [(i, j) for i in range(1, 30) for j in range(1, 30)]
+        sizes = [7] * 24 + [8] * 10 + [9] * 4
+        zeros = 0
+        for size in sizes:
+            pool = rng.sample(names, size * size)
+            rows = []
+            for _ in range(size):
+                row: list = [0] * size
+                for k, c in enumerate(rng.sample(range(size), rng.randint(2, 4))):
+                    constant = k == 0 and rng.random() < 0.6
+                    row[c] = rng.choice((-3, -2, -1, 1, 2, 5)) if constant else pool.pop()
+                rows.append(row)
+            if rng.random() < 1 / 3:
+                a, b = rng.sample(range(size), 2)
+                c = rng.randrange(size)
+                rows[a], rows[b] = [0] * size, [0] * size
+                rows[a][c], rows[b][c] = pool.pop(), pool.pop()
+            m = SymbolicMatrix(tuple(map(tuple, rows)))
+            full = det_permutation_expansion(m)
+            zeros += full.is_zero()
+            assert det(m, top=True) == (full if full.is_zero() else full.top_term())
+        assert 0 < zeros < len(sizes)
 
     def test_top_mode_rejects_shared_monomials(self):
         repeated = SymbolicMatrix((((1, 2), 0), (0, (1, 2))))
