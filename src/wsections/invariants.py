@@ -42,11 +42,12 @@ DEFAULT_DET_BOUND = 8
 def det_size_bound(bound: int | None = None) -> int:
     """Size guard for fully generic determinants: bound, or DEFAULT_DET_BOUND.
 
-    Raises InvalidInputError for a non-integer bound or one below 1.
+    Raises InvalidInputError for a non-integer bound (a bool included) or
+    one below 1.
     """
     if bound is None:
         return DEFAULT_DET_BOUND
-    if not isinstance(bound, int) or bound < 1:
+    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
         raise InvalidInputError(
             f"determinant size bound must be an integer of at least 1, got {bound!r}"
         )
@@ -164,6 +165,6 @@ def generic_invariant(ms: MinorSpec, bound: int | None = None) -> Polynomial:
         raise ResourceLimitError(
             f"minor size {ms.size} exceeds determinant bound {bound}"
         )
-    # Top mode already yields the top term; the top_term call stays while
-    # bench/tracer.py times it as a layer of its own.
+    # Top mode already yields the top term with its degree recorded, so
+    # top_term() is a constant-time read of the value det returns.
     return det(ms.matrix, top=True).top_term()

@@ -14,6 +14,8 @@ of columns left free, whose tables hold plain monomial -> coefficient dicts.
 Its top mode, which the generic invariants use, counts top-degree completions
 instead and builds each top monomial once, by a walk along the tight cells;
 it is exact when no two permutations share a monomial, which it checks first.
+It returns the terms already in sorted_terms() order, with their degree
+recorded, so reading the top term, the degree or the string re-grades nothing.
 A determinant whose tables would outgrow MEMO_BUDGET entries raises
 ResourceLimitError rather than exhaust memory.
 """
@@ -34,12 +36,16 @@ _EXPONENT = itemgetter(1)
 
 
 class Polynomial:
-    """Sparse integer polynomial in x[i,j] variables, read but never combined."""
+    """Sparse integer polynomial in x[i,j] variables, read but never combined.
 
-    __slots__ = ("terms",)
+    A result of det's top mode keeps its terms in sorted_terms() order and
+    records its degree, which degree() and top_term() read in constant time."""
+
+    __slots__ = ("terms", "_top")
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
         self.terms: dict[Monomial, int] = {m: c for m, c in (terms or {}).items() if c != 0}
+        self._top: int | None = None  # degree of a homogeneous result; only det sets it
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -53,6 +59,8 @@ class Polynomial:
 
     def degree(self) -> int:
         """Maximal total exponent; -1 for the zero polynomial."""
+        if self._top is not None:
+            return self._top
         if not self.terms:
             return -1
         return max([sum(map(_EXPONENT, m)) for m in self.terms])
@@ -61,6 +69,8 @@ class Polynomial:
         """Homogeneous component of maximal total degree."""
         if not self.terms:
             raise UndefinedGradingError("the zero polynomial has no top term")
+        if self._top is not None:
+            return self  # det's top mode: homogeneous already
         degrees = [sum(map(_EXPONENT, m)) for m in self.terms]
         best = max(degrees)
         if min(degrees) == best:
@@ -78,8 +88,7 @@ class Polynomial:
             for v, e in {item for mono in self.terms for item in mono}
         }
         pieces = []
-        for mono in sorted(self.terms):  # distinct keys: sorted_terms' order
-            coeff = self.terms[mono]
+        for mono, coeff in sorted(self.terms.items()):  # one linear pass if already sorted
             if not mono:
                 body = str(abs(coeff))
             else:
@@ -145,6 +154,9 @@ def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
     expanded: each column set holds its rows' best degree, how many
     completions reach it and the tight cells that lead there, and a walk on
     an explicit stack along those cells yields one top monomial per leaf.
+    The leaves are sorted once, so the result's terms iterate in
+    sorted_terms() order, and the result records its degree (-1 when no
+    permutation survives), which degree() and top_term() then read.
     The budget counts the completions, the terms a table of top-degree
     cofactors would hold.  That is exact only when no two permutations share
     a monomial, so top mode first checks that no variable appears twice and
@@ -167,7 +179,7 @@ def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
         _check_budget(held, m)
     sign = _permutation_sign(order)
     if top:
-        return Polynomial(_top_terms(rows, free, held, sign))
+        return _top_terms(rows, free, held, sign)
     minors: dict[int, dict[Monomial, int]] = {0: {_ONE: 1}}
     for row, masks in zip(reversed(rows), reversed(free)):
         table = {}
@@ -183,49 +195,65 @@ def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
             _check_budget(held, m)
         minors = table
     terms = minors[(1 << m) - 1]
-    return Polynomial(terms if sign == 1 else {mono: -coeff for mono, coeff in terms.items()})
+    return _value(terms if sign == 1 else {mono: -coeff for mono, coeff in terms.items()})
 
 
-def _top_terms(rows: list, free: list, held: int, sign: int) -> dict[Monomial, int]:
-    """Top-degree terms of a guarded matrix: count completions, then walk the tight cells."""
+def _top_terms(rows: list, free: list, held: int, sign: int) -> Polynomial:
+    """Top-degree terms of a guarded matrix, sorted and graded: count completions, walk tight cells."""
     m = len(rows)
+    # Number the variables in sorted order: each occurs once (the guard), a
+    # leaf sorts small ints, and the numbers sort as the monomials' items do.
+    items = sorted({(cell, 1) for row in rows for _, cell in row if not isinstance(cell, int)})
+    number = {var: k for k, (var, _) in enumerate(items)}
     # reach[mask]: (best degree of the rows below on mask, completions reaching it,
-    # tight cells (the cells to follow next or None at the end, multiplier, items)).
+    # tight cells (the cells to follow next or None at the end, multiplier, numbers)).
     reach: dict[int, tuple] = {0: (0, 1, None)}
     for row, masks in zip(reversed(rows), reversed(free)):
+        # Each cell once: (bit, lower bits, rise, multiplier, numbers).
+        row_cells = [
+            (1 << c, (1 << c) - 1) + ((0, cell, ()) if isinstance(cell, int) else (1, 1, (number[cell],)))
+            for c, cell in row
+        ]
         table = {}
         for mask in masks:
             best, count, cells = -1, 0, []
-            for c, cell in row:
-                bit = 1 << c
+            for bit, low, rise, mult, own in row_cells:
                 if mask & bit:
                     degree, n, sub = reach[mask ^ bit]
-                    degree += not isinstance(cell, int)
+                    degree += rise
                     if not n or degree < best:
                         continue
                     if degree > best:
                         best, count, cells = degree, 0, []
-                    mult, item = (cell, ()) if isinstance(cell, int) else (1, ((cell, 1),))
                     if sub and len(sub) == 1:  # a forced step below: take it here
-                        sub, sub_mult, sub_item = sub[0]
-                        mult, item = mult * sub_mult, item + sub_item
-                    odd = (mask & (bit - 1)).bit_count() & 1  # as in full mode
-                    cells.append((sub, -mult if odd else mult, item))
+                        sub, sub_mult, sub_own = sub[0]
+                        mult, own = mult * sub_mult, own + sub_own
+                    odd = (mask & low).bit_count() & 1  # as in full mode
+                    cells.append((sub, -mult if odd else mult, own))
                     count += n
             table[mask] = best, count, cells
             held += count
             _check_budget(held, m)
         reach = table
-    terms = {}  # no two leaves share a monomial (the guard): nothing merges or cancels
-    stack = [(reach[(1 << m) - 1][2], sign, ())]
+    best, _, cells = reach[(1 << m) - 1]
+    leaves = {}  # no two leaves share a monomial (the guard): nothing merges or cancels
+    stack = [(cells, sign, ())]
     while stack:
-        cells, coeff, items = stack.pop()
-        for sub, mult, item in cells:
+        cells, coeff, nums = stack.pop()
+        for sub, mult, own in cells:
             if sub is None:
-                terms[tuple(sorted(items + item))] = coeff * mult
+                leaves[tuple(sorted(nums + own))] = coeff * mult
             else:
-                stack.append((sub, coeff * mult, items + item))
-    return terms
+                stack.append((sub, coeff * mult, nums + own))
+    # Squarefree monomials of one degree: sorting their numbers is sorted_terms() order.
+    return _value({tuple([items[k] for k in nums]): leaves[nums] for nums in sorted(leaves)}, best)
+
+
+def _value(terms: dict[Monomial, int], top: int | None = None) -> Polynomial:
+    """A Polynomial on det's own nonzero terms, without __init__'s copy and filter."""
+    p = Polynomial.__new__(Polynomial)
+    p.terms, p._top = terms, top
+    return p
 
 
 def _check_budget(held: int, size: int) -> None:

@@ -48,7 +48,7 @@ class Composition:
         if not self.parts:
             raise InvalidInputError("composition must have at least one part")
         for p in self.parts:
-            if not isinstance(p, int) or p < 1:
+            if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise InvalidInputError(f"composition parts must be positive integers, got {p!r}")
         object.__setattr__(self, "parts", tuple(self.parts))
 

@@ -27,7 +27,7 @@ from wsections.invariants import (
     restrict_to_section,
     section_coordinate,
 )
-from wsections.poly import det
+from wsections.poly import Polynomial, det
 from wsections.tableau import (
     Composition,
     MatrixUnit,
@@ -165,13 +165,16 @@ class TestRestrictToSection:
 
     def test_heavy_substituted_minors_match_fraction_free(self, monkeypatch):
         # The restriction and nilfibre minors of the heavy compositions reach
-        # size 22, beyond the permutation oracle.
+        # size 22, beyond the permutation oracle.  det hands its own dict to
+        # the value it returns, with no zero-filtering copy, so every
+        # coefficient must be nonzero already.
         sizes = []
 
         def checked_det(matrix):
             sizes.append(matrix.size)
             got = det(matrix)
             assert got == det_fraction_free(matrix)
+            assert all(c != 0 for c in got.terms.values())
             return got
 
         monkeypatch.setattr(invariants, "det", checked_det)
@@ -282,6 +285,18 @@ class TestGenericInvariant:
                 m = build_minor(t, pair).matrix
                 assert det(m, top=True) == det(m).top_term()
 
+    def test_top_mode_values_are_sorted_and_graded(self):
+        # Top mode emits its terms in sorted_terms() order and records the
+        # degree, so nothing downstream re-sorts or re-grades them.
+        for parts in compositions_upto(8):
+            t = T(*parts)
+            for pair in neighboring_pairs(t):
+                p = det(build_minor(t, pair).matrix, top=True)
+                assert list(p.terms.items()) == p.sorted_terms()
+                fresh = Polynomial(p.terms)
+                assert p.degree() == fresh.degree() == bs_degree(t, pair)
+                assert p.top_term() == fresh.top_term()
+
     def test_top_mode_matches_full_expansion_at_size_14(self):
         # Beyond the fraction-free oracle's reach; the full Laplace expansion
         # of this minor tabulates about 280,000 entries.
@@ -324,7 +339,7 @@ class TestGenericInvariant:
         assert generic_invariant(ms).degree() == ms.degree
 
     def test_bound_must_be_positive_integer(self):
-        for bound in ("abc", "3", 2.5, 0, -1):
+        for bound in ("abc", "3", 2.5, 0, -1, True, False):
             with pytest.raises(InvalidInputError):
                 det_size_bound(bound)
         assert det_size_bound(1) == 1

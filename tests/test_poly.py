@@ -32,6 +32,56 @@ def sparse_symbolic_matrix(rng: random.Random, size: int) -> SymbolicMatrix:
     return SymbolicMatrix(tuple(rows))
 
 
+def small_guarded_matrices() -> list[SymbolicMatrix]:
+    """300 seeded matrices of sizes 1 to 6 that top mode accepts: distinct
+    variables and at most one nonzero constant per row, so no two
+    permutations share a monomial."""
+    rng = random.Random(2718)
+    out = []
+    for _ in range(300):
+        size = rng.randint(1, 6)
+        rows = []
+        for r in range(size):
+            row: list = [0] * size
+            cols = rng.sample(range(size), rng.randint(1, size))
+            for k, c in enumerate(cols):
+                constant = k == 0 and rng.random() < 0.5
+                row[c] = rng.choice((-2, -1, 1, 3)) if constant else (r + 1, c + 1)
+            rows.append(tuple(row))
+        out.append(SymbolicMatrix(tuple(rows)))
+    return out
+
+
+LARGE_GUARDED_SIZES = [7] * 24 + [8] * 10 + [9] * 4
+
+
+def large_guarded_matrices() -> list[SymbolicMatrix]:
+    """Seeded guarded matrices of sizes 7 to 9.  Variable names are drawn at
+    random, so a variable's first index is not its row and a leaf must sort
+    its variables; constants include negative and non-unit ones; a third of
+    the matrices give two rows the same single column, so no permutation
+    survives and det is 0."""
+    rng = random.Random(7919)
+    names = [(i, j) for i in range(1, 30) for j in range(1, 30)]
+    out = []
+    for size in LARGE_GUARDED_SIZES:
+        pool = rng.sample(names, size * size)
+        rows = []
+        for _ in range(size):
+            row: list = [0] * size
+            for k, c in enumerate(rng.sample(range(size), rng.randint(2, 4))):
+                constant = k == 0 and rng.random() < 0.6
+                row[c] = rng.choice((-3, -2, -1, 1, 2, 5)) if constant else pool.pop()
+            rows.append(row)
+        if rng.random() < 1 / 3:
+            a, b = rng.sample(range(size), 2)
+            c = rng.randrange(size)
+            rows[a], rows[b] = [0] * size, [0] * size
+            rows[a][c], rows[b][c] = pool.pop(), pool.pop()
+        out.append(SymbolicMatrix(tuple(map(tuple, rows))))
+    return out
+
+
 @st.composite
 def polynomials(draw, max_terms=4, max_vars=3, max_exp=2, max_coeff=5):
     terms = {}
@@ -209,51 +259,42 @@ class TestDet:
         assert det(m) == det_permutation_expansion(m)
 
     def test_top_mode_matches_permutation_expansion(self):
-        # Distinct variables and at most one nonzero constant per row, so
-        # no two permutations share a monomial.
-        rng = random.Random(2718)
-        for _ in range(300):
-            size = rng.randint(1, 6)
-            rows = []
-            for r in range(size):
-                row: list = [0] * size
-                cols = rng.sample(range(size), rng.randint(1, size))
-                for k, c in enumerate(cols):
-                    constant = k == 0 and rng.random() < 0.5
-                    row[c] = rng.choice((-2, -1, 1, 3)) if constant else (r + 1, c + 1)
-                rows.append(tuple(row))
-            m = SymbolicMatrix(tuple(rows))
+        for m in small_guarded_matrices():
             full = det_permutation_expansion(m)
             assert det(m, top=True) == (full if full.is_zero() else full.top_term())
 
     def test_top_mode_matches_permutation_expansion_sizes_7_to_9(self):
-        # Variable names are drawn at random, so a variable's first index is
-        # not its row and a leaf must sort its variables; constants include
-        # negative and non-unit ones; a third of the matrices give two rows
-        # the same single column, so no permutation survives and det is 0.
-        rng = random.Random(7919)
-        names = [(i, j) for i in range(1, 30) for j in range(1, 30)]
-        sizes = [7] * 24 + [8] * 10 + [9] * 4
         zeros = 0
-        for size in sizes:
-            pool = rng.sample(names, size * size)
-            rows = []
-            for _ in range(size):
-                row: list = [0] * size
-                for k, c in enumerate(rng.sample(range(size), rng.randint(2, 4))):
-                    constant = k == 0 and rng.random() < 0.6
-                    row[c] = rng.choice((-3, -2, -1, 1, 2, 5)) if constant else pool.pop()
-                rows.append(row)
-            if rng.random() < 1 / 3:
-                a, b = rng.sample(range(size), 2)
-                c = rng.randrange(size)
-                rows[a], rows[b] = [0] * size, [0] * size
-                rows[a][c], rows[b][c] = pool.pop(), pool.pop()
-            m = SymbolicMatrix(tuple(map(tuple, rows)))
+        for m in large_guarded_matrices():
             full = det_permutation_expansion(m)
             zeros += full.is_zero()
             assert det(m, top=True) == (full if full.is_zero() else full.top_term())
-        assert 0 < zeros < len(sizes)
+        assert 0 < zeros < len(LARGE_GUARDED_SIZES)
+
+    def test_top_mode_terms_come_sorted(self):
+        for m in [*small_guarded_matrices(), *large_guarded_matrices()]:
+            p = det(m, top=True)
+            assert list(p.terms.items()) == p.sorted_terms()
+
+    def test_top_mode_degree_and_top_term_match_a_fresh_value(self):
+        for m in [*small_guarded_matrices(), *large_guarded_matrices()]:
+            p = det(m, top=True)
+            fresh = Polynomial(p.terms)
+            assert p.degree() == fresh.degree()
+            if fresh.is_zero():
+                with pytest.raises(UndefinedGradingError):
+                    p.top_term()
+            else:
+                assert p.top_term() == fresh.top_term()
+
+    def test_top_mode_without_perfect_matching_is_zero(self):
+        empty_column = SymbolicMatrix((((1, 1), 0), ((2, 1), 0)))
+        shared_column = SymbolicMatrix((((1, 1), 0, 0), ((2, 1), 0, 0), (3, (3, 2), (3, 3))))
+        for m in (empty_column, shared_column):
+            p = det(m, top=True)
+            assert p.is_zero() and p.degree() == -1
+            with pytest.raises(UndefinedGradingError):
+                p.top_term()
 
     def test_top_mode_rejects_shared_monomials(self):
         repeated = SymbolicMatrix((((1, 2), 0), (0, (1, 2))))

@@ -39,6 +39,11 @@ class TestComposition:
         with pytest.raises(InvalidInputError):
             Composition(())
 
+    @pytest.mark.parametrize("bad", [(True, 1, 1, True), (2, True), (True,)])
+    def test_bool_parts_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            Composition(bad)
+
     def test_prefix(self):
         c = Composition((2, 1, 1, 2))
         assert [c.prefix(v) for v in range(1, 5)] == [0, 2, 3, 4]

@@ -376,6 +376,23 @@ class TestBattery:
         text = json.dumps(reports, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN_DIGEST
 
+    # The same digest over compositions whose invariants run long: four at
+    # bound 12, and one whose reports hold 0.5 MB of invariants at bound 8.
+    LARGE_INVARIANT_DIGEST = "4595aa0b95ecb33d7c57af3b24eeaf2fbf5b536575e59bedabf576cf31c9701d"
+
+    def test_large_invariant_report_digest(self):
+        inputs = [((4, 1, 1, 1, 1, 4), 12), ((4, 2, 1, 1, 4), 12), ((3, 1, 1, 1, 1, 1, 1, 3), 12)]
+        inputs += [((5, 1, 1, 5), 12), ((2, 1, 4, 3, 1, 4, 1, 2, 1, 4, 1, 1, 1), 8)]
+        reports = [verify_composition(parts, bound) for parts, bound in inputs]
+        text = json.dumps(reports, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.LARGE_INVARIANT_DIGEST
+
+    def test_bools_are_not_integers(self):
+        with pytest.raises(InvalidInputError):
+            verify_composition((True, 1, 1, True))
+        with pytest.raises(InvalidInputError):
+            verify_composition((2, 1, 1, 2), det_bound=True)
+
     def test_size_14_generic_minor_is_checked(self):
         start = time.perf_counter()
         report = verify_composition((2, 3, 3, 3, 3, 2), 16)
