@@ -14,8 +14,10 @@ of columns left free, whose tables hold plain monomial -> coefficient dicts.
 Its top mode, which the generic invariants use, counts top-degree completions
 instead and builds each top monomial once, by a walk along the tight cells;
 it is exact when no two permutations share a monomial, which it checks first.
-It returns the terms already in sorted_terms() order, with their degree
-recorded, so reading the top term, the degree or the string re-grades nothing.
+Its value keeps the sorted variables and the sorted number tuples of its
+monomials, with the degree recorded: the string renders from the numbers,
+the terms dict is built on first read, and reading the top term, the degree
+or the string re-grades and builds nothing.
 A determinant whose tables would outgrow MEMO_BUDGET entries raises
 ResourceLimitError rather than exhaust memory.
 """
@@ -38,17 +40,29 @@ _EXPONENT = itemgetter(1)
 class Polynomial:
     """Sparse integer polynomial in x[i,j] variables, read but never combined.
 
-    A result of det's top mode keeps its terms in sorted_terms() order and
-    records its degree, which degree() and top_term() read in constant time."""
+    A result of det's top mode keeps what its walk found: the sorted
+    variables and the sorted number tuples of its monomials, with their
+    coefficients.  It records its degree, which is_zero(), degree() and
+    top_term() read in constant time; to_string() renders from the numbers,
+    and terms builds the monomial dict on first read and keeps it."""
 
-    __slots__ = ("terms", "_top")
+    __slots__ = ("_terms", "_top", "_numbered")
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        self.terms: dict[Monomial, int] = {m: c for m, c in (terms or {}).items() if c != 0}
+        self._terms: dict[Monomial, int] | None = {m: c for m, c in (terms or {}).items() if c != 0}
         self._top: int | None = None  # degree of a homogeneous result; only det sets it
+        self._numbered: tuple | None = None  # (items, sorted (numbers, coeff)); only det sets it
+
+    @property
+    def terms(self) -> dict[Monomial, int]:
+        """The monomial -> coefficient dict; a top-mode value builds it on first read."""
+        if self._terms is None:
+            items, pairs = self._numbered
+            self._terms = {tuple([items[k] for k in nums]): c for nums, c in pairs}
+        return self._terms
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return self._top < 0 if self._top is not None else not self._terms
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
@@ -61,38 +75,37 @@ class Polynomial:
         """Maximal total exponent; -1 for the zero polynomial."""
         if self._top is not None:
             return self._top
-        if not self.terms:
+        if not self._terms:
             return -1
-        return max([sum(map(_EXPONENT, m)) for m in self.terms])
+        return max([sum(map(_EXPONENT, m)) for m in self._terms])
 
     def top_term(self) -> "Polynomial":
         """Homogeneous component of maximal total degree."""
-        if not self.terms:
+        if self.is_zero():
             raise UndefinedGradingError("the zero polynomial has no top term")
         if self._top is not None:
             return self  # det's top mode: homogeneous already
-        degrees = [sum(map(_EXPONENT, m)) for m in self.terms]
+        degrees = [sum(map(_EXPONENT, m)) for m in self._terms]
         best = max(degrees)
         if min(degrees) == best:
             return self  # already homogeneous; a Polynomial is never changed
-        return Polynomial({m: c for (m, c), d in zip(self.terms.items(), degrees) if d == best})
+        return Polynomial({m: c for (m, c), d in zip(self._terms.items(), degrees) if d == best})
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         return sorted(self.terms.items())
 
     def to_string(self) -> str:
-        if not self.terms:
+        items, pairs = self._numbered or _number(self._terms)
+        if not pairs:
             return "0"
-        names = {  # each (variable, exponent) item is named once per call
-            (v, e): f"x[{v[0]},{v[1]}]" + (f"^{e}" if e > 1 else "")
-            for v, e in {item for mono in self.terms for item in mono}
-        }
+        # Each item is named once; a monomial joins its names by number, hashing nothing.
+        names = [f"x[{i},{j}]" + (f"^{e}" if e > 1 else "") for (i, j), e in items].__getitem__
         pieces = []
-        for mono, coeff in sorted(self.terms.items()):  # one linear pass if already sorted
-            if not mono:
+        for nums, coeff in pairs:
+            if not nums:
                 body = str(abs(coeff))
             else:
-                body = "*".join(map(names.__getitem__, mono))
+                body = "*".join(map(names, nums))
                 if abs(coeff) != 1:
                     body = f"{abs(coeff)}*{body}"
             if not pieces:
@@ -106,6 +119,14 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_string()})"
+
+
+def _number(terms: dict[Monomial, int]) -> tuple[list, list]:
+    """Number the (variable, exponent) items in sorted order; the monomials'
+    number tuples then sort as the monomials do."""
+    items = sorted({item for mono in terms for item in mono})
+    number = {item: k for k, item in enumerate(items)}
+    return items, sorted((tuple([number[item] for item in mono]), c) for mono, c in terms.items())
 
 
 @dataclass(frozen=True)
@@ -154,9 +175,11 @@ def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
     expanded: each column set holds its rows' best degree, how many
     completions reach it and the tight cells that lead there, and a walk on
     an explicit stack along those cells yields one top monomial per leaf.
-    The leaves are sorted once, so the result's terms iterate in
-    sorted_terms() order, and the result records its degree (-1 when no
-    permutation survives), which degree() and top_term() then read.
+    The leaves are sorted once; the result keeps the sorted variables and
+    the sorted leaf number tuples with their coefficients, renders its
+    string from them, builds terms (in sorted_terms() order) only on first
+    read, and records its degree (-1 when no permutation survives), which
+    is_zero(), degree() and top_term() then read.
     The budget counts the completions, the terms a table of top-degree
     cofactors would hold.  That is exact only when no two permutations share
     a monomial, so top mode first checks that no variable appears twice and
@@ -246,13 +269,16 @@ def _top_terms(rows: list, free: list, held: int, sign: int) -> Polynomial:
             else:
                 stack.append((sub, coeff * mult, nums + own))
     # Squarefree monomials of one degree: sorting their numbers is sorted_terms() order.
-    return _value({tuple([items[k] for k in nums]): leaves[nums] for nums in sorted(leaves)}, best)
+    return _value(None, best, (items, sorted(leaves.items())))
 
 
-def _value(terms: dict[Monomial, int], top: int | None = None) -> Polynomial:
-    """A Polynomial on det's own nonzero terms, without __init__'s copy and filter."""
+def _value(
+    terms: dict[Monomial, int] | None, top: int | None = None, numbered: tuple | None = None
+) -> Polynomial:
+    """A Polynomial on det's own nonzero terms, or on its top mode's numbers,
+    without __init__'s copy and filter."""
     p = Polynomial.__new__(Polynomial)
-    p.terms, p._top = terms, top
+    p._terms, p._top, p._numbered = terms, top, numbered
     return p
 
 

@@ -6,11 +6,14 @@ ws-report/2 document.  Weights live over the simple roots a_1 .. a_{n-1};
 the line from entry i to entry j has weight a_i + ... + a_{j-1}.  Separation
 asks for the weights of the 1-labelled horizontal lines to stay independent
 when paired against the coroots indexed by the tableau minus the lowest box
-of every column.  The orbit computations (density included) read the
-tangent space [p, point] straight off the point's line graph: each basis
-element of p or p' brackets with the point along the arrows at its two ends,
-giving one sparse row over the nilradical coordinates, and the rows go to
-the exact integer rank; nothing is floated.
+of every column.  Each pairing is read off the line's endpoints,
+<a_i + ... + a_{j-1}, a_k^v> = [k=i] + [k=j-1] - [k=i-1] - [k=j] (the two
+positive terms add up to 2 when j = i+1), so a row holds at most four
+nonzeros and no weight vector is built.  The orbit computations (density
+included) read the tangent space [p, point] straight off the point's line
+graph: each basis element of p or p' brackets with the point along the
+arrows at its two ends, giving one sparse row over the nilradical
+coordinates, and the rows go to the exact integer rank; nothing is floated.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import construction, invariants
-from .construction import Line, LineSet, extract_section, step1, step2, step3
+from .construction import LineSet, extract_section, step1, step2, step3
 from .errors import (
     InvalidInputError,
     InvalidStateError,
@@ -31,28 +34,10 @@ from .linalg import rank_int, solve_unit_differences
 from .tableau import MatrixUnit, Tableau, nilradical_basis
 from .tableau import Composition, build_tableau, neighboring_pairs
 
-Weight = tuple[int, ...]
-
 REPORT_SCHEMA = "ws-report/2"
 
 GROUP_FULL = "P"
 GROUP_DERIVED = "P'"
-
-
-def line_weight(t: Tableau, line: "Line | tuple[int, int]") -> Weight:
-    """Sum of consecutive simple roots a_i .. a_{j-1} as a 0/1 vector."""
-    i, j = (line.i, line.j) if isinstance(line, Line) else line
-    if not (1 <= i < j <= t.n):
-        raise InvalidInputError(f"line ({i}, {j}) outside the tableau")
-    return tuple(1 if i <= k <= j - 1 else 0 for k in range(1, t.n))
-
-
-def coroot_pairing(w: Weight, k: int) -> int:
-    """Evaluate a weight on the k-th simple coroot (type-A Cartan pairing)."""
-    n1 = len(w)
-    left = w[k - 2] if k >= 2 else 0
-    right = w[k] if k < n1 else 0
-    return 2 * w[k - 1] - left - right
 
 
 def _require_step2(ls: LineSet) -> None:
@@ -67,12 +52,19 @@ def reduced_entries(t: Tableau) -> tuple[int, ...]:
     )
 
 
-def separation_matrix(t: Tableau, ls: LineSet) -> tuple[tuple[int, ...], ...]:
-    """Rows: the 1-lines' weights paired against the reduced-tableau coroots."""
+def separation_matrix(t: Tableau, ls: LineSet) -> tuple[dict[int, int], ...]:
+    """One sparse {column: coeff} row per 1-line, its weight paired against the
+    reduced-tableau coroots, read off the line's endpoints."""
     _require_step2(ls)
-    entries = sorted(reduced_entries(t))
-    weights = (line_weight(t, ln) for ln in ls.one_lines())
-    return tuple(tuple(coroot_pairing(w, k) for k in entries) for w in weights)
+    column = {k: c for c, k in enumerate(sorted(reduced_entries(t)))}
+    rows = []
+    for ln in ls.one_lines():
+        row: dict[int, int] = {}
+        for k, x in ((ln.i, 1), (ln.j - 1, 1), (ln.i - 1, -1), (ln.j, -1)):
+            if k in column:
+                row[column[k]] = row.get(column[k], 0) + x
+        rows.append(row)
+    return tuple(rows)
 
 
 def separation_rank(t: Tableau, ls: LineSet) -> int:
@@ -143,9 +135,12 @@ def _orbit_rows(
 
 
 def _as_point(point: "Mapping[MatrixUnit, int] | Iterable[MatrixUnit]") -> dict[tuple[int, int], int]:
-    if isinstance(point, Mapping):
-        return {u.key: int(c) for u, c in point.items() if c}
-    return {u.key: 1 for u in point}
+    if not isinstance(point, Mapping):
+        return {u.key: 1 for u in point}
+    for u, c in point.items():
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise InvalidInputError(f"coefficient {c!r} at {u.key} is not an integer")
+    return {u.key: c for u, c in point.items() if c}
 
 
 def density_check(t: Tableau, ls: LineSet) -> tuple[bool, int]:

@@ -16,7 +16,8 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from wsections.errors import InternalError
+from wsections.construction import Line
+from wsections.errors import InternalError, InvalidInputError
 from wsections.poly import Monomial, Polynomial, SymbolicMatrix
 
 
@@ -395,6 +396,22 @@ def triangular_unimodular_witness(rows):
     return peel(frozenset(range(len(rows))), frozenset(range(len(rows[0]))))
 
 
+def line_weight(t, line: "Line | tuple[int, int]") -> tuple[int, ...]:
+    """Sum of consecutive simple roots a_i .. a_{j-1} as a 0/1 vector."""
+    i, j = (line.i, line.j) if isinstance(line, Line) else line
+    if not (1 <= i < j <= t.n):
+        raise InvalidInputError(f"line ({i}, {j}) outside the tableau")
+    return tuple(1 if i <= k <= j - 1 else 0 for k in range(1, t.n))
+
+
+def coroot_pairing(w: tuple[int, ...], k: int) -> int:
+    """Evaluate a weight on the k-th simple coroot (type-A Cartan pairing)."""
+    n1 = len(w)
+    left = w[k - 2] if k >= 2 else 0
+    right = w[k] if k < n1 else 0
+    return 2 * w[k - 1] - left - right
+
+
 def weight_inner(a: tuple[int, int], b: tuple[int, int]) -> int:
     """Cartan inner product of two line weights via their endpoints."""
     (i, j), (k, l) = a, b
@@ -408,8 +425,6 @@ def root_system_type(ls) -> tuple[int, ...]:
     block structure is re-derived from the Cartan gram matrix and an exact
     independence check before being returned.
     """
-    from wsections.verify import line_weight
-
     assert ls.step == 2
     t = ls.tableau
     lines = ls.lines

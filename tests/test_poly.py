@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     Ring,
     X,
+    compositions_upto,
     det_fraction_free,
     det_permutation_expansion,
     divexact,
@@ -17,7 +18,9 @@ from helpers import (
     to_string_fstrings,
 )
 from wsections.errors import InternalError, ResourceLimitError, UndefinedGradingError
+from wsections.invariants import build_minor
 from wsections.poly import Polynomial, SymbolicMatrix, det
+from wsections.tableau import Composition, build_tableau, neighboring_pairs
 
 
 def sparse_symbolic_matrix(rng: random.Random, size: int) -> SymbolicMatrix:
@@ -93,6 +96,17 @@ def polynomials(draw, max_terms=4, max_vars=3, max_exp=2, max_coeff=5):
         key = tuple(sorted(mono.items()))
         terms[key] = draw(st.integers(-max_coeff, max_coeff))
     return Ring(terms)
+
+
+def top_values():
+    """det's top mode on every generic minor with n <= 8 and on the seeded
+    guarded matrices."""
+    for parts in compositions_upto(8):
+        t = build_tableau(Composition(parts))
+        for pair in neighboring_pairs(t):
+            yield det(build_minor(t, pair).matrix, top=True)
+    for m in [*small_guarded_matrices(), *large_guarded_matrices()]:
+        yield det(m, top=True)
 
 
 class TestArithmetic:
@@ -277,24 +291,44 @@ class TestDet:
             assert list(p.terms.items()) == p.sorted_terms()
 
     def test_top_mode_degree_and_top_term_match_a_fresh_value(self):
-        for m in [*small_guarded_matrices(), *large_guarded_matrices()]:
-            p = det(m, top=True)
+        # A top-mode value renders and grades from its variable numbers; only
+        # reading terms builds the monomial dict.
+        for p in top_values():
+            text, degree, zero = p.to_string(), p.degree(), p.is_zero()
+            top = None if zero else p.top_term()
+            assert p._terms is None  # no read above built the monomial dict
             fresh = Polynomial(p.terms)
-            assert p.degree() == fresh.degree()
-            if fresh.is_zero():
+            assert text == to_string_fstrings(fresh)
+            assert p.terms == fresh.terms
+            assert p.sorted_terms() == fresh.sorted_terms()
+            assert (degree, zero) == (fresh.degree(), fresh.is_zero())
+            assert p == fresh and fresh == p
+            if zero:
                 with pytest.raises(UndefinedGradingError):
                     p.top_term()
             else:
-                assert p.top_term() == fresh.top_term()
+                assert top == fresh.top_term()
+
+    def test_top_mode_renders_constants_and_coefficients(self):
+        for rows, text in (
+            (((2,),), "2"),
+            (((0, 1), (1, 0)), "-1"),
+            (((0, -3), (1, 0)), "3"),
+            (((2, (1, 2)), (0, (2, 2))), "2*x[2,2]"),
+            (((0, (1, 2)), (-1, (2, 2))), "x[1,2]"),
+        ):
+            p = det(SymbolicMatrix(rows), top=True)
+            assert p.to_string() == text == to_string_fstrings(Polynomial(p.terms))
 
     def test_top_mode_without_perfect_matching_is_zero(self):
         empty_column = SymbolicMatrix((((1, 1), 0), ((2, 1), 0)))
         shared_column = SymbolicMatrix((((1, 1), 0, 0), ((2, 1), 0, 0), (3, (3, 2), (3, 3))))
         for m in (empty_column, shared_column):
             p = det(m, top=True)
-            assert p.is_zero() and p.degree() == -1
+            assert p.is_zero() and p.degree() == -1 and p.to_string() == "0"
             with pytest.raises(UndefinedGradingError):
                 p.top_term()
+            assert p.terms == {} and p == 0
 
     def test_top_mode_rejects_shared_monomials(self):
         repeated = SymbolicMatrix((((1, 2), 0), (0, (1, 2))))

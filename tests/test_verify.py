@@ -9,6 +9,8 @@ import pytest
 from helpers import (
     HEAVY_COMPOSITIONS,
     compositions_upto,
+    coroot_pairing,
+    line_weight,
     orbit_span_dimension,
     rank_fractions,
     root_system_type,
@@ -28,10 +30,8 @@ from wsections.tableau import (
 )
 from wsections.verify import (
     codim_orbit,
-    coroot_pairing,
     density_check,
     grading_element,
-    line_weight,
     reduced_entries,
     separation_matrix,
     separation_rank,
@@ -158,13 +158,30 @@ class TestSeparation:
             t = T(*parts)
             assert len(reduced_entries(t)) == t.n - len(parts)
 
+    def test_sparse_rows_match_dense_weight_pairings(self):
+        # The endpoint formula against whole weight vectors paired against
+        # every reduced-tableau coroot, row by row and in rank.
+        for parts in compositions_upto(10):
+            t = T(*parts)
+            entries = sorted(reduced_entries(t))
+            for mode in (RIGHTMOST, LEFTMOST):
+                ls = LS2(t, mode)
+                dense = [
+                    [coroot_pairing(line_weight(t, ln), k) for k in entries] for ln in ls.one_lines()
+                ]
+                rows = separation_matrix(t, ls)
+                assert [{c: x for c, x in enumerate(row) if x} for row in dense] == list(rows)
+                assert rank_int(rows) == rank_fractions(dense)
+
     def test_triangular_unimodular_witness(self):
         for parts in compositions_upto(7):
             t = T(*parts)
             for mode in (RIGHTMOST, LEFTMOST):
-                rows = separation_matrix(t, LS2(t, mode))
-                if not rows:
+                sparse = separation_matrix(t, LS2(t, mode))
+                if not sparse:
                     continue
+                width = len(reduced_entries(t))
+                rows = [[row.get(c, 0) for c in range(width)] for row in sparse]
                 witness = triangular_unimodular_witness(rows)
                 assert witness is not None
                 assert len(witness) == len(rows)
@@ -300,6 +317,13 @@ class TestCodimOrbit:
         t = T(1, 1)
         assert codim_orbit(t, {MatrixUnit(1, 2): 3}, "P") == 0
         assert codim_orbit(t, {MatrixUnit(1, 2): 0}, "P") == 1
+
+    def test_non_integer_coefficients_rejected(self):
+        # Truncating 0.5 to 0 would read a nonzero point as the zero point.
+        t = T(1, 1)
+        for c in (0.5, 1.5, "x", True, False, 1.0):
+            with pytest.raises(InvalidInputError, match="not an integer"):
+                codim_orbit(t, {MatrixUnit(1, 2): c}, "P")
 
 
 def _orbit_inputs():
