@@ -25,7 +25,7 @@ which each gate was applied.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 
@@ -177,7 +177,7 @@ def step2(ls: LineSet, mode: str = RIGHTMOST) -> LineSet:
         if key in zeros:
             raise InternalError(f"two pairs claim the zero line {key}")
         zeros.add(key)
-    lines = [replace(ln, label=0 if ln.key in zeros else 1) for ln in ls.lines]
+    lines = [Line(ln.i, ln.j, 0 if ln.key in zeros else 1) for ln in ls.lines]
     return LineSet(t, _sorted_lines(lines), step=2, mode=mode)
 
 
@@ -201,38 +201,39 @@ def step3(ls: LineSet, last_stage: int | None = None) -> LineSet:
 
 def _apply_stage(t: Tableau, lines: dict[tuple[int, int], Line], pair: NeighborPair, i: int) -> None:
     v, vp = pair.v, pair.v_prime
+    row, col = t.entry_row, t.entry_col
     caught = [
         ln
         for ln in lines.values()
         if ln.label == 0
         and not ln.gated
-        and t.row_of(ln.i) <= i - 1
-        and t.row_of(ln.j) <= i - 1
-        and v <= t.col_of(ln.i)
-        and t.col_of(ln.j) <= vp
+        and row[ln.i] < i
+        and row[ln.j] < i
+        and v <= col[ln.i]
+        and col[ln.j] <= vp
     ]
     if not caught:
         return
-    caught.sort(key=lambda ln: t.col_of(ln.i))
+    caught.sort(key=lambda ln: col[ln.i])
     for a, b in zip(caught, caught[1:]):
-        if not (t.col_of(a.i) < t.col_of(a.j) <= t.col_of(b.i)):
+        if not (col[a.i] < col[a.j] <= col[b.i]):
             raise InternalError("ungated zero lines lost strict non-overlap")
 
     chain = [t.entry_at(i, w) for w in range(v, vp + 1) if t.col_height(w) >= i]
-    chain_cols = [t.col_of(e) for e in chain]
+    chain_cols = [col[e] for e in chain]
     q = len(chain) - 1
 
     groups: dict[int, list[Line]] = {}
     for ln in caught:
-        lo = t.col_of(ln.i)
+        lo = col[ln.i]
         gap = max(g for g in range(q) if chain_cols[g] <= lo)
-        if not t.col_of(ln.j) <= chain_cols[gap + 1]:
+        if not col[ln.j] <= chain_cols[gap + 1]:
             raise InternalError("zero line straddles a row chain box")
         groups.setdefault(gap, []).append(ln)
     gaps = sorted(groups)
 
     for ln in caught:
-        lines[ln.key] = replace(ln, gated=True, gate_stage=i)
+        lines[ln.key] = Line(ln.i, ln.j, 0, True, ln.stage, i)
 
     for gap in gaps:
         seg = (chain[gap], chain[gap + 1])
@@ -315,15 +316,10 @@ def verify_P1(ls: LineSet, pair: NeighborPair) -> CompositeFamily:
     t = ls.tableau
     require_neighboring(t, pair)
     v, vp, s = pair.v, pair.v_prime, pair.s
-    region = {
-        b.entry
-        for b in t.boxes()
-        if b.row <= s and v <= b.col <= vp
-    }
-    sinks = {e for e in region if t.col_of(e) == vp}
-    sources = {e for e in region if t.col_of(e) == v}
+    region = {e for col in t.columns[v - 1 : vp] for e in col[:s]}
+    sources, sinks = t.col_entries(v), set(t.col_entries(vp))  # both of height s; sources by row
     starts = sorted(region - sinks)
-    targets = region - sources
+    targets = region.difference(sources)
     targets_of: dict[int, list[int]] = {b: [] for b in starts}
     for ln in ls.lines:
         if ln.i in targets_of and ln.j in targets and _usable(ln, s):
@@ -338,7 +334,7 @@ def verify_P1(ls: LineSet, pair: NeighborPair) -> CompositeFamily:
         raise P1UniquenessError(f"multiple composite families for pair ({v}, {vp})")
 
     paths = []
-    for source in sorted(sources, key=t.row_of):
+    for source in sources:
         path = [source]
         while path[-1] in successor:
             path.append(successor[path[-1]])
@@ -348,7 +344,7 @@ def verify_P1(ls: LineSet, pair: NeighborPair) -> CompositeFamily:
     covered = {e for path in paths for e in path}
     if covered != region:
         raise InternalError("composite family misses boxes of the region")
-    sigma = tuple(t.row_of(path[-1]) for path in paths)
+    sigma = tuple(t.entry_row[path[-1]] for path in paths)
     return CompositeFamily(sigma=sigma, paths=tuple(paths))
 
 
@@ -362,9 +358,9 @@ def extract_section(ls: LineSet) -> Section:
     """Units of the 1-lines as e; units of all 0-lines (gated included) as V."""
     if ls.step < 2:
         raise InvalidStateError("labels are only assigned from step 2 on")
-    t = ls.tableau
+    col = ls.tableau.entry_col
     for ln in ls.lines:
-        if not t.col_of(ln.i) < t.col_of(ln.j):
+        if not col[ln.i] < col[ln.j]:
             raise InternalError(f"line {ln.key} leaves the nilradical")
     e = tuple(ln.unit for ln in ls.one_lines())
     v = tuple(ln.unit for ln in ls.zero_lines())

@@ -5,7 +5,8 @@ entries of columns v..v'-1 shifted past column v's block and the columns
 shifted s further; writing m for its size, the matrix is evaluated on the
 identity translate of a generic nilradical point, so position (a, b) holds
 the variable x[a,b] when that coordinate lives in the nilradical, 1 when
-a == b, and 0 otherwise.  The entries of boxes lying strictly between the
+a == b, and 0 otherwise: a variable exactly when b > t.column_end[a], as
+entries grow with the column.  The entries of boxes lying strictly between the
 pair in rows below s make up translated.  Only their count, size - degree,
 holds: each top monomial uses that many diagonal ones, but not always these
 (pair (1,3) of 1,2,1 has translated (3,), and x[1,3]*x[3,4] uses the 1 at (2,2)).
@@ -13,7 +14,8 @@ holds: each top monomial uses that many diagonal ones, but not always these
 Three evaluations matter: the fully generic determinant (whose top term is
 the invariant attached to the pair), the restriction to a section (1 on e,
 coordinates of V kept), and the restriction to the candidate nilfibre point
-(1 on e, 0 on V), which must vanish.
+(1 on e, 0 on V), which must vanish.  Both set only the variable cells
+their keys name, so they cost the size plus the section's lines, not m^2.
 """
 from __future__ import annotations
 
@@ -63,22 +65,17 @@ class MinorSpec:
     translated: tuple[int, ...]  # size - degree entries; only the count is meaningful
     degree: int
     matrix: SymbolicMatrix
+    offset: int  # rows are entries offset+1 .. offset+size, columns pair.s further on
 
 
 def _raw_minor_matrix(t: Tableau, v: int, v_prime: int, s: int) -> SymbolicMatrix:
     """The translated minor between any two height-s columns, unvalidated."""
     lo, hi = t.composition.prefix(v), t.composition.prefix(v_prime)
+    cols = range(s + lo + 1, s + hi + 1)
     body = []
     for a in range(lo + 1, hi + 1):
-        row = []
-        for b in range(s + lo + 1, s + hi + 1):
-            if a == b:
-                row.append(1)
-            elif t.col_of(a) < t.col_of(b):
-                row.append((a, b))
-            else:
-                row.append(0)
-        body.append(tuple(row))
+        end = t.column_end[a]
+        body.append(tuple([(a, b) if b > end else int(a == b) for b in cols]))
     return SymbolicMatrix(tuple(body))
 
 
@@ -102,19 +99,27 @@ def build_minor(t: Tableau, pair: NeighborPair) -> MinorSpec:
         translated=translated,
         degree=degree,
         matrix=_raw_minor_matrix(t, v, vp, s),
+        offset=lo,
     )
 
 
 def _specialise(ms: MinorSpec, ones: set, kept: set) -> Polynomial:
-    """Determinant with 1 on the cells in ones, those in kept symbolic, 0 elsewhere."""
-    rows = tuple(
-        tuple(
-            cell if isinstance(cell, int) or cell in kept else int(cell in ones)
-            for cell in row
-        )
-        for row in ms.matrix.rows
-    )
-    return det(SymbolicMatrix(rows))
+    """Determinant with 1 on the cells in ones, those in kept symbolic, 0 elsewhere.
+
+    From the diagonal ones, only the minor's variable cells that ones and
+    then kept name are set, so kept wins.
+    """
+    m, s, lo = ms.size, ms.pair.s, ms.offset
+    generic = ms.matrix.rows
+    body = [[0] * m for _ in range(m)]
+    for r in range(s, m):
+        body[r][r - s] = 1
+    for keys, symbolic in ((ones, False), (kept, True)):
+        for a, b in keys:
+            r, c = a - lo - 1, b - lo - s - 1
+            if 0 <= r < m and 0 <= c < m and type(cell := generic[r][c]) is tuple:
+                body[r][c] = cell if symbolic else 1
+    return det(SymbolicMatrix(tuple(map(tuple, body))))
 
 
 def restrict_to_section(ms: MinorSpec, sec: Section) -> Polynomial:

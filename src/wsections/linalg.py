@@ -8,31 +8,39 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from math import gcd
 
-from .errors import InternalError
+from .errors import InternalError, InvalidInputError
 
 
 def rank_int(rows: Iterable[Sequence[int] | Mapping[int, int]]) -> int:
     """Rank over the rationals by sparse fraction-free row reduction on integers.
 
-    Rows are dense sequences or {column: coefficient} mappings.  Pivot rows
-    are kept by leading column; each incoming row is reduced against the
+    Rows are dense sequences or {column: coefficient} mappings of ints (else
+    InvalidInputError, a bool too).  Each incoming row is reduced against the
     pivot at its leading column (r <- a*r - b*pivot, then divided by its
-    content) until it becomes a new pivot or vanishes.
+    content; neither for a pivot of +-1) until it becomes a new pivot or vanishes.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         # The dict test is the cheap one; any other Mapping is still sparse.
-        sparse = isinstance(row, dict) or isinstance(row, Mapping)
-        items = row.items() if sparse else enumerate(row)
-        r = {c: int(x) for c, x in items if x}
+        r = dict(row) if isinstance(row, dict) or isinstance(row, Mapping) else dict(enumerate(row))
+        values = r.values()
+        if not set(map(type, values)) <= {int}:
+            bad = next(x for x in values if type(x) is not int)
+            raise InvalidInputError(f"rank_int takes int entries only, got {bad!r}")
+        if 0 in values:
+            r = {c: x for c, x in r.items() if x}
         while r:
             lead = min(r)
             pivot = pivots.get(lead)
             if pivot is None:
                 pivots[lead] = r
                 break
-            g = gcd(pivot[lead], r[lead])
-            a, b = pivot[lead] // g, r[lead] // g
+            p = pivot[lead]
+            if p == 1 or p == -1:  # r - (r[lead]*p)*pivot clears the lead
+                a, b = 1, r[lead] * p
+            else:
+                g = gcd(p, r[lead])
+                a, b = p // g, r[lead] // g
             if a != 1:
                 for c in r:
                     r[c] *= a
@@ -42,8 +50,7 @@ def rank_int(rows: Iterable[Sequence[int] | Mapping[int, int]]) -> int:
                     r[c] = y
                 else:
                     del r[c]
-            content = gcd(*r.values())
-            if content > 1:
+            if abs(p) != 1 and (content := gcd(*r.values())) > 1:
                 r = {c: x // content for c, x in r.items()}
     return len(pivots)
 

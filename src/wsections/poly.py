@@ -131,27 +131,27 @@ def _number(terms: dict[Monomial, int]) -> tuple[list, list]:
 
 @dataclass(frozen=True)
 class SymbolicMatrix:
-    """Square matrix whose entries are integers or single variables (i, j)."""
+    """Square matrix of ints and single variables (i, j) of two ints; nothing else, no bool."""
 
     rows: tuple[tuple[Entry, ...], ...]
 
     def __post_init__(self) -> None:
-        m = len(self.rows)
+        try:
+            rows = tuple(map(tuple, self.rows))  # a tuple row is kept as it is
+        except TypeError:
+            raise InvalidInputError("matrix rows must be sequences of cells") from None
+        m = len(rows)
         if m == 0:
             raise InvalidInputError("matrix must have positive size")
-        norm = []
-        for row in self.rows:
+        for row in rows:
             if len(row) != m:
                 raise InvalidInputError("matrix must be square")
-            cells = []
             for cell in row:
-                if isinstance(cell, int):
-                    cells.append(cell)
-                else:
-                    i, j = cell
-                    cells.append((int(i), int(j)))
-            norm.append(tuple(cells))
-        object.__setattr__(self, "rows", tuple(norm))
+                if cell.__class__ is not int and not (
+                    cell.__class__ is tuple and len(cell) == 2 and cell[0].__class__ is cell[1].__class__ is int
+                ):
+                    raise InvalidInputError(f"matrix cell {cell!r} is neither an int nor a pair of ints")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def size(self) -> int:

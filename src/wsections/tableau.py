@@ -8,7 +8,8 @@ position x[i,j] lies in the nilradical of the block upper-triangular algebra
 cut out by the composition exactly when the column of i is strictly left of
 the column of j.  Everything downstream (lines, minors, weights) speaks in
 box entries, so this module is the single source of truth for the
-entry <-> (row, column) correspondence.
+entry <-> (row, column) correspondence, kept also as flat tuples indexed by
+entry (column, row, last entry of the column) for the inner loops.
 """
 from __future__ import annotations
 
@@ -162,19 +163,30 @@ class Tableau:
         """Entry of the box in row u, column v."""
         return u + self.composition.prefix(v)
 
+    # Flat tables indexed by entry (index 0 unused), built once for the inner loops.
+    @cached_property
+    def entry_col(self) -> tuple[int, ...]:
+        return (0,) + tuple(v for v, col in enumerate(self.columns, start=1) for _ in col)
+
+    @cached_property
+    def entry_row(self) -> tuple[int, ...]:
+        return (0,) + tuple(u for col in self.columns for u in range(1, len(col) + 1))
+
+    @cached_property
+    def column_end(self) -> tuple[int, ...]:
+        """Last entry of each entry's column: x[i,j] lies in m exactly when j > column_end[i]."""
+        return (0,) + tuple(col[-1] for col in self.columns for _ in col)
+
+    @cached_property
+    def nilradical_keys(self) -> tuple[tuple[int, int], ...]:
+        """The nilradical's (i, j) in order: j runs past the last entry of i's column."""
+        n = self.n
+        return tuple((i, j) for col in self.columns for i in col for j in range(col[-1] + 1, n + 1))
+
     @cached_property
     def nilradical(self) -> tuple[MatrixUnit, ...]:
-        """All matrix units of the nilradical, ordered by (i, j); built once.
-
-        Entries grow with the column index, so the units from an entry of a
-        column are those to every entry after the column's last.
-        """
-        return tuple(
-            MatrixUnit(i, j)
-            for col in self.columns
-            for i in col
-            for j in range(col[-1] + 1, self.n + 1)
-        )
+        """All matrix units of the nilradical, ordered by (i, j); built once."""
+        return tuple(MatrixUnit(i, j) for i, j in self.nilradical_keys)
 
 
 def build_tableau(c: Composition) -> Tableau:

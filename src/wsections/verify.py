@@ -12,8 +12,8 @@ positive terms add up to 2 when j = i+1), so a row holds at most four
 nonzeros and no weight vector is built.  The orbit computations (density
 included) read the tangent space [p, point] straight off the point's line
 graph: each basis element of p or p' brackets with the point along the
-arrows at its two ends, giving one sparse row over the nilradical
-coordinates, and the rows go to the exact integer rank; nothing is floated.
+arrows at its two ends, one sparse row over the nilradical coordinates, the
+unit (i, j) at column base[i] + j, and the rows go to the exact integer rank.
 """
 from __future__ import annotations
 
@@ -92,46 +92,54 @@ def grading_element(ls: LineSet) -> GradingElement:
 
 def _orbit_rows(
     t: Tableau, point: dict[tuple[int, int], int], group: str
-) -> tuple[dict[tuple[int, int], int], list[dict[int, int]]]:
-    """The nilradical's column index, and the rows [x, point] for a basis x
-    of p (group "P") or of p' (group "P'").
+) -> tuple[list[int], list[dict[int, int]]]:
+    """Each entry's column base, and the rows [x, point] for a basis x of p
+    (group "P") or of p' (group "P'").
 
-    The point's arrows are indexed by source and by target once; then
+    The nilradical's columns follow t.nilradical_keys, so unit (i, j) sits
+    at base[i] + j.  The point's arrows go into per-entry lists by source
+    and by target; then
     [E_ab, point] = sum_{b->d} c E_ad - sum_{c->a} c E_cb (a = b included),
-    and a p' Cartan row E_aa - E_bb merges two such brackets.  Rows are
-    {column: coeff}: the nilradical units, then per column block its
+    and a p' Cartan row E_aa - E_bb merges two such brackets in place.  Rows
+    are {column: coeff}: the nilradical units, then per column block its
     off-diagonal units and its Cartan elements.
     """
     if group not in (GROUP_FULL, GROUP_DERIVED):
         raise InvalidInputError(f"unknown group {group!r}")
-    index = {u.key: pos for pos, u in enumerate(nilradical_basis(t))}
-    out_arrows: dict[int, list[tuple[int, int]]] = {}
-    in_arrows: dict[int, list[tuple[int, int]]] = {}
+    n, end = t.n, t.column_end
+    base, start = [0] * (n + 1), 0
+    for i in range(1, n + 1):
+        base[i] = start - end[i] - 1
+        start += n - end[i]
+    out_arrows: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]  # (target, c)
+    in_arrows: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]  # (source's base, -c)
     for (i, j), c in point.items():
-        if (i, j) not in index:
+        if not (1 <= i <= n and end[i] < j <= n):
             raise InvalidInputError(f"vector leaves the nilradical at {(i, j)}")
-        out_arrows.setdefault(i, []).append((j, c))
-        in_arrows.setdefault(j, []).append((i, c))
+        out_arrows[i].append((j, c))
+        in_arrows[j].append((base[i], -c))
 
     # The point has no arrow b -> b and none inside one column, so the two
     # sums of a bracket never share a unit, nor do [E_aa, .] and [E_bb, .]
     # for a, b in one column: rows are plain unions, with no zero entries.
     def bracket(a: int, b: int) -> dict[int, int]:
-        row = {index[(a, d)]: c for d, c in out_arrows.get(b, ())}
-        row.update((index[(src, b)], -c) for src, c in in_arrows.get(a, ()))
+        row = {base[a] + d: c for d, c in out_arrows[b]}
+        for src, c in in_arrows[a]:
+            row[src + b] = c
         return row
 
-    rows = [bracket(a, b) for a, b in index]
+    rows = [bracket(a, b) for a, b in t.nilradical_keys]
     for col in t.columns:
         rows.extend(bracket(a, b) for a in col for b in col if a != b)
         if group == GROUP_FULL:
             rows.extend(bracket(a, a) for a in col)
-        else:
-            rows.extend(
-                {**bracket(a, a), **{key: -c for key, c in bracket(b, b).items()}}
-                for a, b in zip(col, col[1:])
-            )
-    return index, rows
+            continue
+        for a, b in zip(col, col[1:]):
+            row = bracket(a, a)
+            for key, c in bracket(b, b).items():
+                row[key] = -c
+            rows.append(row)
+    return base, rows
 
 
 def _as_point(point: "Mapping[MatrixUnit, int] | Iterable[MatrixUnit]") -> dict[tuple[int, int], int]:
@@ -150,10 +158,10 @@ def density_check(t: Tableau, ls: LineSet) -> tuple[bool, int]:
     singleton row per 0-line.  Returns (full, rank).
     """
     _require_step2(ls)
-    index, rows = _orbit_rows(t, {ln.key: 1 for ln in ls.lines}, GROUP_DERIVED)
-    rows.extend({index[ln.key]: 1} for ln in ls.zero_lines())
+    base, rows = _orbit_rows(t, {ln.key: 1 for ln in ls.lines}, GROUP_DERIVED)
+    rows.extend({base[ln.i] + ln.j: 1} for ln in ls.zero_lines())
     dim = rank_int(rows)
-    return dim == len(index), dim
+    return dim == len(t.nilradical_keys), dim
 
 
 def codim_orbit(
@@ -167,8 +175,8 @@ def codim_orbit(
     The tangent space [p, point] is the span of the line-graph rows; a
     point with a unit outside m raises InvalidInputError.
     """
-    index, rows = _orbit_rows(t, _as_point(point), group)
-    return len(index) - rank_int(rows)
+    _, rows = _orbit_rows(t, _as_point(point), group)
+    return len(t.nilradical_keys) - rank_int(rows)
 
 
 def _gap_count(parts: tuple[int, ...]) -> int:

@@ -6,7 +6,8 @@ package: determinants by full permutation expansion and by fraction-free
 elimination over fractions, composite-line covers by recursive backtracking,
 restrictions by substituting into the expanded polynomial, orbit tangent
 spaces by bracketing every basis matrix of p with every unit of the point,
-the nilradical by testing all n^2 positions, polynomial strings by one
+the nilradical by testing all n^2 positions, minors and their
+specialisations cell by cell from col_of, polynomial strings by one
 f-string per factor.  The package's Polynomial is a value only; Ring adds
 the arithmetic these oracles and the tests need.
 """
@@ -275,6 +276,35 @@ def nilradical_by_definition(t):
         for i in range(1, t.n + 1)
         for j in range(1, t.n + 1)
         if i != j and in_nilradical(t, MatrixUnit(i, j))
+    )
+
+
+def dense_minor_matrix(t, v: int, v_prime: int, s: int) -> SymbolicMatrix:
+    """The translated minor between two height-s columns, every cell decided by col_of."""
+    lo, hi = t.composition.prefix(v), t.composition.prefix(v_prime)
+    body = []
+    for a in range(lo + 1, hi + 1):
+        row = []
+        for b in range(s + lo + 1, s + hi + 1):
+            if a == b:
+                row.append(1)
+            elif t.col_of(a) < t.col_of(b):
+                row.append((a, b))
+            else:
+                row.append(0)
+        body.append(tuple(row))
+    return SymbolicMatrix(tuple(body))
+
+
+def dense_specialised_rows(matrix: SymbolicMatrix, ones, kept) -> tuple:
+    """Rows of a minor with 1 on the variables in ones, those in kept kept, 0 on
+    the others, substituted into all m^2 cells; constants stay."""
+    return tuple(
+        tuple(
+            cell if isinstance(cell, int) or cell in kept else int(cell in ones)
+            for cell in row
+        )
+        for row in matrix.rows
     )
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import backtracking_cover, compositions_upto, ungated_zero_lines
+from helpers import HEAVY_COMPOSITIONS, backtracking_cover, compositions_upto, ungated_zero_lines
 from wsections import construction
 from wsections.construction import (
     LEFTMOST,
@@ -250,6 +250,21 @@ class TestP1P2:
             ls = step3(step2(step1(t)))
             for pair in neighboring_pairs(t):
                 assert verify_P2(ls, verify_P1(ls, pair))
+
+    def test_region_matches_box_scan(self):
+        # verify_P1 takes its region from column slices and raises unless the
+        # family covers exactly that region; the oracle scans every box.
+        for parts in list(compositions_upto(8)) + list(HEAVY_COMPOSITIONS):
+            t = T(*parts)
+            ls = step3(step2(step1(t)))
+            for pair in neighboring_pairs(t):
+                region = {
+                    b.entry for b in t.boxes() if b.row <= pair.s and pair.v <= b.col <= pair.v_prime
+                }
+                fam = verify_P1(ls, pair)
+                assert {e for path in fam.paths for e in path} == region
+                assert [t.box(path[0]).row for path in fam.paths] == list(range(1, pair.s + 1))
+                assert fam.sigma == tuple(t.box(path[-1]).row for path in fam.paths)
 
     def test_missing_line_raises_violation(self):
         t = T(1, 1)

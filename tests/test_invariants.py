@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from helpers import (
@@ -5,6 +7,8 @@ from helpers import (
     X,
     compositions_upto,
     count_section_permutations,
+    dense_minor_matrix,
+    dense_specialised_rows,
     det_fraction_free,
     det_permutation_expansion,
     lift,
@@ -96,6 +100,81 @@ class TestBuildMinor:
     def test_rejects_non_neighboring(self):
         with pytest.raises(InvalidInputError):
             build_minor(T(1, 1, 1), NeighborPair(1, 3, 1))
+
+
+class TestMinorsAgainstDenseOracles:
+    # The minor reads each row off column_end, and _specialise sets only the
+    # variable cells a section's keys name; the oracles in helpers decide all
+    # m^2 cells, from col_of and by substitution.
+    INPUTS = list(compositions_upto(8)) + list(HEAVY_COMPOSITIONS)
+
+    @staticmethod
+    def specialised(monkeypatch):
+        """_specialise with det replaced by the rows it is handed."""
+        monkeypatch.setattr(invariants, "det", lambda matrix: matrix.rows)
+        return invariants._specialise
+
+    def test_raw_minor_for_every_same_height_column_pair(self):
+        far = 0
+        for parts in self.INPUTS:
+            t = T(*parts)
+            for v in range(1, len(parts)):
+                for vp in range(v + 1, len(parts) + 1):
+                    s = parts[v - 1]
+                    if parts[vp - 1] == s:
+                        got = invariants._raw_minor_matrix(t, v, vp, s).rows
+                        assert got == dense_minor_matrix(t, v, vp, s).rows, (parts, v, vp)
+                        far += any(parts[w - 1] == s for w in range(v + 1, vp))
+        assert far > 500  # pairs that are not neighboring are covered too
+
+    def test_build_minor_offset(self):
+        for parts in self.INPUTS:
+            t = T(*parts)
+            for pair in neighboring_pairs(t):
+                ms = build_minor(t, pair)
+                assert ms.offset == t.composition.prefix(pair.v)
+                assert ms.matrix.rows == dense_minor_matrix(t, pair.v, pair.v_prime, pair.s).rows
+
+    def test_step2_and_step3_sections(self, monkeypatch):
+        specialise = self.specialised(monkeypatch)
+        for parts in self.INPUTS:
+            t = T(*parts)
+            for sec in (extract_section(step2(step1(t))), section_of(t)):
+                e, v = {u.key for u in sec.e}, {u.key for u in sec.v}
+                for pair in neighboring_pairs(t):
+                    ms = build_minor(t, pair)
+                    assert specialise(ms, e, v) == dense_specialised_rows(ms.matrix, e, v)
+                    assert specialise(ms, e, set()) == dense_specialised_rows(ms.matrix, e, set())
+
+    def test_sections_with_one_v_unit_moved_into_e(self, monkeypatch):
+        specialise = self.specialised(monkeypatch)
+        for parts in self.INPUTS:
+            t = T(*parts)
+            sec = section_of(t)
+            minors = [build_minor(t, pair) for pair in neighboring_pairs(t)]
+            for u in sec.v:
+                e = {w.key for w in sec.e} | {u.key}
+                v = {w.key for w in sec.v} - {u.key}
+                for ms in minors:
+                    assert specialise(ms, e, v) == dense_specialised_rows(ms.matrix, e, v)
+                    assert specialise(ms, e, set()) == dense_specialised_rows(ms.matrix, e, set())
+
+    def test_keys_outside_the_minor_and_on_constant_cells(self, monkeypatch):
+        # Every nilradical key (most lie outside any one minor), keys below the
+        # diagonal or beyond the tableau, and kept overlapping ones.
+        specialise = self.specialised(monkeypatch)
+        rng = random.Random(20261019)
+        for parts in [(2, 1, 1, 2), (1, 2, 2, 1), (3, 2, 1, 1, 2, 3), (2, 3, 3, 2), (15, 15, 15, 15)]:
+            t = T(*parts)
+            stray = {(0, 1), (1, 0), (t.n + 1, t.n + 2), (-3, 4), (3, -4)}
+            stray |= {(j, i) for i, j in t.nilradical_keys}
+            ones = set(t.nilradical_keys) | stray
+            for pair in neighboring_pairs(t):
+                ms = build_minor(t, pair)
+                for _ in range(5):
+                    kept = set(rng.sample(sorted(ones), len(ones) // 3))
+                    for e, v in ((ones, kept), (kept, ones), (stray, kept), (set(), kept)):
+                        assert specialise(ms, e, v) == dense_specialised_rows(ms.matrix, e, v)
 
 
 class TestRestrictToSection:

@@ -17,7 +17,12 @@ from helpers import (
     substitute,
     to_string_fstrings,
 )
-from wsections.errors import InternalError, ResourceLimitError, UndefinedGradingError
+from wsections.errors import (
+    InternalError,
+    InvalidInputError,
+    ResourceLimitError,
+    UndefinedGradingError,
+)
 from wsections.invariants import build_minor
 from wsections.poly import Polynomial, SymbolicMatrix, det
 from wsections.tableau import Composition, build_tableau, neighboring_pairs
@@ -203,6 +208,34 @@ class TestToString:
     @settings(max_examples=200)
     def test_matches_fstring_oracle(self, p):
         assert p.to_string() == to_string_fstrings(p)
+
+
+class TestSymbolicMatrix:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((1.5,),),
+            (("ab",),),
+            (((1, 2, 3),),),
+            (((1.0, 2.0),),),
+            ((True,),),
+            (((True, 2),),),
+            (((1,),),),
+            ((1, 0), (0, (2, "3"))),
+            ((1, 2), (3,)),
+            (),
+            (5,),
+        ],
+    )
+    def test_malformed_rejected(self, rows):
+        with pytest.raises(InvalidInputError):
+            SymbolicMatrix(rows)
+
+    def test_cells_are_checked_not_rebuilt(self):
+        rows = (((1, 2), 0), (1, (2, 3)))
+        m = SymbolicMatrix(rows)
+        assert m.rows == rows and all(a is b for a, b in zip(m.rows, rows))
+        assert SymbolicMatrix([[(1, 2), 0], [1, (2, 3)]]).rows == rows
 
 
 class TestDet:

@@ -1,7 +1,7 @@
 from hypothesis import given, strategies as st
 import pytest
 
-from helpers import compositions_upto, in_nilradical, nilradical_by_definition
+from helpers import HEAVY_COMPOSITIONS, compositions_upto, in_nilradical, nilradical_by_definition
 from wsections.errors import InvalidInputError
 from wsections.tableau import (
     Composition,
@@ -138,6 +138,18 @@ class TestNilradical:
         for parts in compositions_upto(10):
             t = T(*parts)
             assert nilradical_basis(t) == nilradical_by_definition(t)
+
+    def test_flat_tables_match_boxes(self):
+        for parts in list(compositions_upto(8)) + list(HEAVY_COMPOSITIONS):
+            t = T(*parts)
+            boxes = [t.box(e) for e in range(1, t.n + 1)]
+            assert len(t.entry_col) == len(t.entry_row) == len(t.column_end) == t.n + 1
+            assert t.entry_col[1:] == tuple(b.col for b in boxes)
+            assert t.entry_row[1:] == tuple(b.row for b in boxes)
+            last = {v: max(b.entry for b in boxes if b.col == v) for v in range(1, t.composition.r + 1)}
+            assert t.column_end[1:] == tuple(last[b.col] for b in boxes)
+            assert t.nilradical_keys == tuple(u.key for u in nilradical_by_definition(t))
+            assert t.nilradical_keys == tuple(u.key for u in t.nilradical)
 
     def test_dimension_formula_exhaustive(self):
         # dim m == (n^2 - sum n_i^2) / 2

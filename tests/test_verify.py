@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import time
+from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
@@ -94,6 +95,34 @@ class TestLinalg:
         assert rank_int(zeros) == 0
         assert rank_int([]) == 0
         assert rank_int([{}, {3: 0}]) == 0
+
+    def test_rank_rejects_non_integer_entries(self):
+        # Nothing is truncated: a float, a Fraction, a string or a bool is
+        # refused, dense or sparse, zero or not.
+        for rows in (
+            [[1.5, 1], [3, 2]],
+            [["a", 2]],
+            [[True, 0], [0, 1]],
+            [[0.0, 1]],
+            [{0: 1, 2: Fraction(1, 2)}],
+            [MappingProxyType({1: 2.0})],
+            [[1, 0], [0, False]],
+        ):
+            with pytest.raises(InvalidInputError, match="int entries only"):
+                rank_int(rows)
+
+    def test_unit_pivots_skip_content_and_stay_exact(self):
+        # Pivots of +-1 reduce with no gcd and no content division.
+        rng = random.Random(20261019)
+        for _ in range(300):
+            cols = rng.randint(1, 7)
+            m = [
+                [rng.choice((-1, 0, 0, 1, rng.randint(-9, 9))) for _ in range(cols)]
+                for _ in range(rng.randint(1, 8))
+            ]
+            assert rank_int(m) == rank_fractions(m)
+        m = [[-1, 2, 4], [3, 0, 6], [2, 2, 10]]
+        assert rank_int(m) == rank_fractions(m) == 2
 
     def test_coefficient_growth_as_mapping_rows(self):
         m = [[10**9, 1, 0], [1, 10**9, 1], [0, 1, 10**9], [1, 1, 1]]
