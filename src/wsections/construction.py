@@ -40,7 +40,6 @@ from .tableau import (
     MatrixUnit,
     NeighborPair,
     Tableau,
-    neighboring_pairs,
     require_neighboring,
 )
 
@@ -172,7 +171,7 @@ def step2(ls: LineSet, mode: str = RIGHTMOST) -> LineSet:
         raise InvalidInputError(f"unknown labelling mode {mode!r}")
     t = ls.tableau
     zeros = set()
-    for pair in neighboring_pairs(t):
+    for pair in t.neighboring_pairs:
         key = _zero_line_for(t, pair, mode)
         if key in zeros:
             raise InternalError(f"two pairs claim the zero line {key}")
@@ -190,12 +189,9 @@ def step3(ls: LineSet, last_stage: int | None = None) -> LineSet:
     if not 1 <= top <= t.height:
         raise InvalidStateError(f"stage cap {last_stage} outside [1, {t.height}]")
     lines = dict(ls.line_map)
-    by_height: dict[int, list[NeighborPair]] = {}
-    for pair in neighboring_pairs(t):
-        by_height.setdefault(pair.s, []).append(pair)
-    for i in range(1, top + 1):
-        for pair in sorted(by_height.get(i, []), key=lambda p: p.v):
-            _apply_stage(t, lines, pair, i)
+    for pair in t.neighboring_pairs:  # ordered by (height, left column)
+        if pair.s <= top:
+            _apply_stage(t, lines, pair, pair.s)
     return LineSet(t, _sorted_lines(lines.values()), step=3, mode=ls.mode, stage3_rows=top)
 
 

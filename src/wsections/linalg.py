@@ -6,6 +6,7 @@ follows the nonzeros; with no modulus and no floats it is exact over Q.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import chain
 from math import gcd
 
 from .errors import InternalError, InvalidInputError
@@ -14,27 +15,44 @@ from .errors import InternalError, InvalidInputError
 def rank_int(rows: Iterable[Sequence[int] | Mapping[int, int]]) -> int:
     """Rank over the rationals by sparse fraction-free row reduction on integers.
 
-    Rows are dense sequences or {column: coefficient} mappings of ints (else
-    InvalidInputError, a bool too).  Each incoming row is reduced against the
+    Rows are dense sequences or {column: coefficient} mappings.  Every column
+    and every entry must be an int (a bool is not): the rows are checked in
+    one pass before any reduction, and the first bad row, column or entry in
+    row order raises InvalidInputError.  Each row is then reduced against the
     pivot at its leading column (r <- a*r - b*pivot, then divided by its
-    content; neither for a pivot of +-1) until it becomes a new pivot or vanishes.
+    content; neither for a pivot of +-1) until it becomes a new pivot or
+    vanishes.  A row is copied only when it must be reduced; the caller's
+    rows are never changed.
     """
-    pivots: dict[int, dict[int, int]] = {}
+    table: list[dict[int, int]] = []
     for row in rows:
-        # The dict test is the cheap one; any other Mapping is still sparse.
-        r = dict(row) if isinstance(row, dict) or isinstance(row, Mapping) else dict(enumerate(row))
-        values = r.values()
-        if not set(map(type, values)) <= {int}:
-            bad = next(x for x in values if type(x) is not int)
-            raise InvalidInputError(f"rank_int takes int entries only, got {bad!r}")
-        if 0 in values:
-            r = {c: x for c, x in r.items() if x}
+        if isinstance(row, dict):
+            table.append(row)
+        elif isinstance(row, Mapping):
+            table.append(dict(row))
+        elif isinstance(row, Iterable):
+            table.append(dict(enumerate(row)))
+        else:
+            raise InvalidInputError(f"rank_int takes sequences or mappings as rows, got {row!r}")
+    kinds = set(map(type, chain(chain.from_iterable(table), chain.from_iterable(map(dict.values, table)))))
+    if not kinds <= {int}:
+        for r in table:
+            for c, x in r.items():
+                if type(c) is not int:
+                    raise InvalidInputError(f"rank_int takes int columns only, got {c!r}")
+                if type(x) is not int:
+                    raise InvalidInputError(f"rank_int takes int entries only, got {x!r}")
+    pivots: dict[int, dict[int, int]] = {}
+    for row in table:
+        r = {c: x for c, x in row.items() if x} if 0 in row.values() else row
         while r:
             lead = min(r)
             pivot = pivots.get(lead)
             if pivot is None:
                 pivots[lead] = r
                 break
+            if r is row:  # reduce a copy, never the caller's row
+                r = dict(r)
             p = pivot[lead]
             if p == 1 or p == -1:  # r - (r[lead]*p)*pivot clears the lead
                 a, b = 1, r[lead] * p

@@ -127,27 +127,16 @@ class Tableau:
         return tuple(cols)
 
     @cached_property
-    def _position(self) -> dict[int, Box]:
-        pos = {}
-        for v, entries in enumerate(self.columns, start=1):
-            for u, entry in enumerate(entries, start=1):
-                pos[entry] = Box(row=u, col=v, entry=entry)
-        return pos
-
-    def box(self, entry: int) -> Box:
-        try:
-            return self._position[entry]
-        except KeyError:
-            raise InvalidInputError(f"entry {entry} outside [1, {self.n}]") from None
-
-    def col_of(self, entry: int) -> int:
-        return self.box(entry).col
-
-    def row_of(self, entry: int) -> int:
-        return self.box(entry).row
+    def _boxes(self) -> tuple[Box, ...]:
+        return tuple(
+            Box(row=u, col=v, entry=entry)
+            for v, entries in enumerate(self.columns, start=1)
+            for u, entry in enumerate(entries, start=1)
+        )
 
     def boxes(self) -> tuple[Box, ...]:
-        return tuple(self._position[e] for e in range(1, self.n + 1))
+        """Every box, in entry order."""
+        return self._boxes
 
     def row_entries(self, u: int) -> tuple[int, ...]:
         """Entries in row u, left to right."""
@@ -188,6 +177,19 @@ class Tableau:
         """All matrix units of the nilradical, ordered by (i, j); built once."""
         return tuple(MatrixUnit(i, j) for i, j in self.nilradical_keys)
 
+    @cached_property
+    def neighboring_pairs(self) -> tuple[NeighborPair, ...]:
+        """All pairs of equal-height columns with no column of that height
+        between, ordered by (height, left column); built once."""
+        by_height: dict[int, list[int]] = {}
+        for v, h in enumerate(self.composition.parts, start=1):
+            by_height.setdefault(h, []).append(v)
+        return tuple(
+            NeighborPair(v, v_prime, s)
+            for s, cols in sorted(by_height.items())
+            for v, v_prime in zip(cols, cols[1:])
+        )
+
 
 def build_tableau(c: Composition) -> Tableau:
     """Number the diagram of c down the columns, left to right."""
@@ -198,16 +200,10 @@ def neighboring_pairs(t: Tableau) -> tuple[NeighborPair, ...]:
     """All pairs of equal-height columns with no column of that height between.
 
     Columns of other heights (taller ones included) may separate the members
-    of a pair.  Ordered by (height, left column).
+    of a pair.  Ordered by (height, left column); the tableau computes them
+    once, so every call returns the same tuple.
     """
-    by_height: dict[int, list[int]] = {}
-    for v, h in enumerate(t.composition.parts, start=1):
-        by_height.setdefault(h, []).append(v)
-    pairs = []
-    for s, cols in sorted(by_height.items()):
-        for v, v_prime in zip(cols, cols[1:]):
-            pairs.append(NeighborPair(v, v_prime, s))
-    return tuple(sorted(pairs, key=lambda p: (p.s, p.v)))
+    return t.neighboring_pairs
 
 
 def require_neighboring(t: Tableau, p: NeighborPair) -> None:

@@ -11,9 +11,11 @@ of every column.  Each pairing is read off the line's endpoints,
 positive terms add up to 2 when j = i+1), so a row holds at most four
 nonzeros and no weight vector is built.  The orbit computations (density
 included) read the tangent space [p, point] straight off the point's line
-graph: each basis element of p or p' brackets with the point along the
-arrows at its two ends, one sparse row over the nilradical coordinates, the
-unit (i, j) at column base[i] + j, and the rows go to the exact integer rank.
+graph, transposed: one sparse row per nilradical coordinate (i, j), at index
+base[i] + j, holding that coordinate of [y, point] for every basis element y
+of p or p' an arrow of the point reaches.  The transpose has the same rank,
+about two nonzeros per row and almost no reductions; the rows go to the
+exact integer rank.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from .errors import (
 )
 from .linalg import rank_int, solve_unit_differences
 from .tableau import MatrixUnit, Tableau, nilradical_basis
-from .tableau import Composition, build_tableau, neighboring_pairs
+from .tableau import Composition, build_tableau
 
 REPORT_SCHEMA = "ws-report/2"
 
@@ -93,73 +95,68 @@ def grading_element(ls: LineSet) -> GradingElement:
 def _orbit_rows(
     t: Tableau, point: dict[tuple[int, int], int], group: str
 ) -> tuple[list[int], list[dict[int, int]]]:
-    """Each entry's column base, and the rows [x, point] for a basis x of p
-    (group "P") or of p' (group "P'").
+    """Each entry's row base, and one row per nilradical coordinate (i, j)
+    holding its coefficient in [y, point] for a basis y of p (group "P") or
+    of p' (group "P'"): the transpose of the tangent-space matrix, same rank.
 
-    The nilradical's columns follow t.nilradical_keys, so unit (i, j) sits
-    at base[i] + j.  The point's arrows go into per-entry lists by source
-    and by target; then
-    [E_ab, point] = sum_{b->d} c E_ad - sum_{c->a} c E_cb (a = b included),
-    and a p' Cartan row E_aa - E_bb merges two such brackets in place.  Rows
-    are {column: coeff}: the nilradical units, then per column block its
-    off-diagonal units and its Cartan elements.
+    Rows follow t.nilradical_keys, so coordinate (i, j) is row base[i] + j.
+    Column a*(n+1) + b stands for E_ab, the Cartan E_aa when a = b; under P'
+    it stands for h_a = E_aa - E_{a+1,a+1} instead.  An arrow b -> j of the
+    point with coefficient c puts +c at E_ib into row (i, j) for every i with
+    col(i) <= col(b), and -c at E_jk into row (b, k) for every k with
+    col(j) <= col(k).  The point has no arrow inside one column, so no two
+    of these share a row and a column: rows are plain unions, with no zeros.
     """
     if group not in (GROUP_FULL, GROUP_DERIVED):
         raise InvalidInputError(f"unknown group {group!r}")
-    n, end = t.n, t.column_end
+    n, end, row_of = t.n, t.column_end, t.entry_row
     base, start = [0] * (n + 1), 0
     for i in range(1, n + 1):
         base[i] = start - end[i] - 1
         start += n - end[i]
-    out_arrows: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]  # (target, c)
-    in_arrows: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]  # (source's base, -c)
-    for (i, j), c in point.items():
+    for i, j in point:
         if not (1 <= i <= n and end[i] < j <= n):
             raise InvalidInputError(f"vector leaves the nilradical at {(i, j)}")
-        out_arrows[i].append((j, c))
-        in_arrows[j].append((base[i], -c))
-
-    # The point has no arrow b -> b and none inside one column, so the two
-    # sums of a bracket never share a unit, nor do [E_aa, .] and [E_bb, .]
-    # for a, b in one column: rows are plain unions, with no zero entries.
-    def bracket(a: int, b: int) -> dict[int, int]:
-        row = {base[a] + d: c for d, c in out_arrows[b]}
-        for src, c in in_arrows[a]:
-            row[src + b] = c
-        return row
-
-    rows = [bracket(a, b) for a, b in t.nilradical_keys]
-    for col in t.columns:
-        rows.extend(bracket(a, b) for a in col for b in col if a != b)
-        if group == GROUP_FULL:
-            rows.extend(bracket(a, a) for a in col)
-            continue
-        for a, b in zip(col, col[1:]):
-            row = bracket(a, a)
-            for key, c in bracket(b, b).items():
-                row[key] = -c
-            rows.append(row)
+    stride = n + 1
+    rows: list[dict[int, int]] = [{} for _ in t.nilradical_keys]
+    for (b, j), c in point.items():
+        for i in range(1, end[b] + 1):
+            rows[base[i] + j][i * stride + b] = c
+        for k in range(j - row_of[j] + 1, n + 1):
+            rows[base[b] + k][j * stride + k] = -c
+        if group == GROUP_DERIVED:
+            # Row (b, j) holds E_bb at +c and E_jj at -c; a Cartan coefficient
+            # on E_aa counts +1 on h_a and -1 on h_{a-1}, where these exist.
+            row = rows[base[b] + j]
+            for a, g in ((b, c), (j, -c)):
+                if a == end[a]:
+                    del row[a * stride + a]
+                if row_of[a] > 1:
+                    row[(a - 1) * stride + a - 1] = -g
     return base, rows
 
 
 def _as_point(point: "Mapping[MatrixUnit, int] | Iterable[MatrixUnit]") -> dict[tuple[int, int], int]:
-    if not isinstance(point, Mapping):
-        return {u.key: 1 for u in point}
-    for u, c in point.items():
+    items = point.items() if isinstance(point, Mapping) else [(u, 1) for u in point]
+    for u, c in items:
+        if not isinstance(u, MatrixUnit):
+            raise InvalidInputError(f"point unit {u!r} is not a MatrixUnit")
         if isinstance(c, bool) or not isinstance(c, int):
             raise InvalidInputError(f"coefficient {c!r} at {u.key} is not an integer")
-    return {u.key: c for u, c in point.items() if c}
+    return {u.key: c for u, c in items if c}
 
 
 def density_check(t: Tableau, ls: LineSet) -> tuple[bool, int]:
     """Does [p', e+v] + V fill m, every line of e+v at coefficient 1?
 
-    The rows are p''s brackets read off the step-2 line graph, plus one
-    singleton row per 0-line.  Returns (full, rank).
+    The rows are the coordinate rows of p''s brackets, read off the step-2
+    line graph; each 0-line's V singleton is one more column, nonzero only
+    in that line's coordinate row.  Returns (full, rank).
     """
     _require_step2(ls)
     base, rows = _orbit_rows(t, {ln.key: 1 for ln in ls.lines}, GROUP_DERIVED)
-    rows.extend({base[ln.i] + ln.j: 1} for ln in ls.zero_lines())
+    for k, ln in enumerate(ls.zero_lines(), start=1):
+        rows[base[ln.i] + ln.j][-k] = 1
     dim = rank_int(rows)
     return dim == len(t.nilradical_keys), dim
 
@@ -172,8 +169,9 @@ def codim_orbit(
     """Codimension in m of the orbit of a point under P or P'.
 
     A mapping gives each unit its coefficient, an iterable coefficient 1.
-    The tangent space [p, point] is the span of the line-graph rows; a
-    point with a unit outside m raises InvalidInputError.
+    The codimension is dim m minus the rank of the coordinate rows of
+    [p, point].  A key that is not a MatrixUnit, a coefficient that is not
+    an int, or a unit outside m raises InvalidInputError.
     """
     _, rows = _orbit_rows(t, _as_point(point), group)
     return len(t.nilradical_keys) - rank_int(rows)
@@ -202,7 +200,7 @@ def verify_composition(parts: tuple[int, ...], det_bound: int | None = None) -> 
     """
     comp = Composition(tuple(parts))
     t = build_tableau(comp)
-    pairs = neighboring_pairs(t)
+    pairs = t.neighboring_pairs
     g = len(pairs)
     dim_m = len(nilradical_basis(t))
     bound = invariants.det_size_bound(det_bound)

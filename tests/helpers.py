@@ -7,7 +7,7 @@ elimination over fractions, composite-line covers by recursive backtracking,
 restrictions by substituting into the expanded polynomial, orbit tangent
 spaces by bracketing every basis matrix of p with every unit of the point,
 the nilradical by testing all n^2 positions, minors and their
-specialisations cell by cell from col_of, polynomial strings by one
+specialisations cell by cell from column_of, polynomial strings by one
 f-string per factor.  The package's Polynomial is a value only; Ring adds
 the arithmetic these oracles and the tests need.
 """
@@ -262,9 +262,18 @@ def compositions_upto(n_max: int):
         yield from compositions(n)
 
 
+def column_of(t, entry: int) -> int:
+    """The column holding an entry, counted off the composition's parts."""
+    for v, h in enumerate(t.composition.parts, start=1):
+        if entry <= h:
+            return v
+        entry -= h
+    raise InvalidInputError(f"entry outside the tableau of {t.composition}")
+
+
 def in_nilradical(t, u) -> bool:
     """True iff the column of entry i is strictly left of the column of j."""
-    return t.col_of(u.i) < t.col_of(u.j)
+    return column_of(t, u.i) < column_of(t, u.j)
 
 
 def nilradical_by_definition(t):
@@ -280,7 +289,7 @@ def nilradical_by_definition(t):
 
 
 def dense_minor_matrix(t, v: int, v_prime: int, s: int) -> SymbolicMatrix:
-    """The translated minor between two height-s columns, every cell decided by col_of."""
+    """The translated minor between two height-s columns, every cell decided by column_of."""
     lo, hi = t.composition.prefix(v), t.composition.prefix(v_prime)
     body = []
     for a in range(lo + 1, hi + 1):
@@ -288,7 +297,7 @@ def dense_minor_matrix(t, v: int, v_prime: int, s: int) -> SymbolicMatrix:
         for b in range(s + lo + 1, s + hi + 1):
             if a == b:
                 row.append(1)
-            elif t.col_of(a) < t.col_of(b):
+            elif column_of(t, a) < column_of(t, b):
                 row.append((a, b))
             else:
                 row.append(0)

@@ -115,7 +115,7 @@ class TestStep2:
             ls = step2(step1(t))
             top = t.height
             for ln in ls.lines:
-                if t.row_of(ln.i) == top:
+                if t.entry_row[ln.i] == top:
                     assert ln.label == 0
 
     def test_requires_step1(self):
@@ -263,8 +263,8 @@ class TestP1P2:
                 }
                 fam = verify_P1(ls, pair)
                 assert {e for path in fam.paths for e in path} == region
-                assert [t.box(path[0]).row for path in fam.paths] == list(range(1, pair.s + 1))
-                assert fam.sigma == tuple(t.box(path[-1]).row for path in fam.paths)
+                assert [t.entry_row[path[0]] for path in fam.paths] == list(range(1, pair.s + 1))
+                assert fam.sigma == tuple(t.entry_row[path[-1]] for path in fam.paths)
 
     def test_missing_line_raises_violation(self):
         t = T(1, 1)

@@ -1,7 +1,13 @@
 from hypothesis import given, strategies as st
 import pytest
 
-from helpers import HEAVY_COMPOSITIONS, compositions_upto, in_nilradical, nilradical_by_definition
+from helpers import (
+    HEAVY_COMPOSITIONS,
+    column_of,
+    compositions_upto,
+    in_nilradical,
+    nilradical_by_definition,
+)
 from wsections.errors import InvalidInputError
 from wsections.tableau import (
     Composition,
@@ -71,10 +77,6 @@ class TestNumbering:
             t = T(*parts)
             assert sorted(b.entry for b in t.boxes()) == list(range(1, t.n + 1))
 
-    def test_out_of_range_entry(self):
-        with pytest.raises(InvalidInputError):
-            T(2, 1).box(4)
-
 
 class TestNeighboringPairs:
     def test_golden(self):
@@ -106,6 +108,13 @@ class TestNeighboringPairs:
                 max(0, sum(1 for p in parts if p == h) - 1) for h in set(parts)
             )
             assert g == expected
+
+    def test_computed_once_in_height_then_column_order(self):
+        for parts in compositions_upto(8):
+            t = T(*parts)
+            pairs = neighboring_pairs(t)
+            assert pairs is neighboring_pairs(t) is t.neighboring_pairs
+            assert list(pairs) == sorted(pairs, key=lambda p: (p.s, p.v))
 
 
 class TestNilradical:
@@ -142,12 +151,12 @@ class TestNilradical:
     def test_flat_tables_match_boxes(self):
         for parts in list(compositions_upto(8)) + list(HEAVY_COMPOSITIONS):
             t = T(*parts)
-            boxes = [t.box(e) for e in range(1, t.n + 1)]
+            cols = [column_of(t, e) for e in range(1, t.n + 1)]
             assert len(t.entry_col) == len(t.entry_row) == len(t.column_end) == t.n + 1
-            assert t.entry_col[1:] == tuple(b.col for b in boxes)
-            assert t.entry_row[1:] == tuple(b.row for b in boxes)
-            last = {v: max(b.entry for b in boxes if b.col == v) for v in range(1, t.composition.r + 1)}
-            assert t.column_end[1:] == tuple(last[b.col] for b in boxes)
+            assert t.entry_col[1:] == tuple(cols)
+            assert t.entry_row[1:] == tuple(e - t.composition.prefix(v) for e, v in enumerate(cols, start=1))
+            last = {v: max(e for e, w in enumerate(cols, start=1) if w == v) for v in set(cols)}
+            assert t.column_end[1:] == tuple(last[v] for v in cols)
             assert t.nilradical_keys == tuple(u.key for u in nilradical_by_definition(t))
             assert t.nilradical_keys == tuple(u.key for u in t.nilradical)
 

@@ -19,7 +19,7 @@ from helpers import (
     weight_inner,
 )
 from wsections import poly
-from wsections.construction import LEFTMOST, RIGHTMOST, step1, step2, step3
+from wsections.construction import LEFTMOST, RIGHTMOST, Line, LineSet, step1, step2, step3
 from wsections.errors import InternalError, InvalidInputError, InvalidStateError
 from wsections.linalg import rank_int, solve_unit_differences
 from wsections.tableau import (
@@ -111,6 +111,44 @@ class TestLinalg:
             with pytest.raises(InvalidInputError, match="int entries only"):
                 rank_int(rows)
 
+    def test_rank_rejects_malformed_rows_and_columns(self):
+        # A row that is no sequence or mapping used to end in TypeError, a
+        # str column beside an int one too; a float or bool column passed.
+        for rows in ([5], [None], [[1, 2], 7]):
+            with pytest.raises(InvalidInputError, match="sequences or mappings"):
+                rank_int(rows)
+        for rows in (
+            [{"a": 1, 1: 2}],
+            [{True: 1}],
+            [{0: 1}, {1.0: 2}],
+            [MappingProxyType({(0, 1): 1})],
+        ):
+            with pytest.raises(InvalidInputError, match="int columns only"):
+                rank_int(rows)
+
+    def test_first_bad_entry_in_row_order_is_named(self):
+        for rows, bad in (
+            ([[1, 2], [3, 1.5], {0: "a"}], "1.5"),
+            ([{0: 1}, {"c": 2.5}, [0.5]], "'c'"),
+            ([[1, 0], (0, None), [False]], "None"),
+        ):
+            with pytest.raises(InvalidInputError, match=f"got {bad}$"):
+                rank_int(rows)
+
+    def test_rows_are_left_unchanged(self):
+        # Rows are reduced on copies: unit and non-unit pivots, zeros inside.
+        rng = random.Random(20261020)
+        for _ in range(200):
+            cols = rng.randint(1, 6)
+            rows = [
+                {c: rng.choice((0, -1, 1, rng.randint(-7, 7))) for c in range(cols) if rng.random() < 0.7}
+                for _ in range(rng.randint(1, 7))
+            ]
+            before = [dict(r) for r in rows]
+            dense = [[r.get(c, 0) for c in range(cols)] for r in rows]
+            assert rank_int(rows) == rank_fractions(dense)
+            assert rows == before
+
     def test_unit_pivots_skip_content_and_stay_exact(self):
         # Pivots of +-1 reduce with no gcd and no content division.
         rng = random.Random(20261019)
@@ -154,7 +192,7 @@ class TestWeights:
                 for b in range(a + 1, len(lines)):
                     la, lb = lines[a], lines[b]
                     inner = weight_inner(la.key, lb.key)
-                    if t.row_of(la.i) != t.row_of(lb.i):
+                    if t.entry_row[la.i] != t.entry_row[lb.i]:
                         assert inner == 0
                     elif {la.i, la.j} & {lb.i, lb.j}:
                         assert inner == -1
@@ -401,6 +439,64 @@ class TestOrbitRowsOracle:
                 for group in ("P", "P'"):
                     expected = dim_m - orbit_span_dimension(t, keyed, group)
                     assert codim_orbit(t, point, group) == expected, (parts, point)
+
+    def test_battery_regime_matches_oracle(self):
+        # The sizes the benchmark times: n uniform in [18, 26], parts 1..4,
+        # drawn here without the package.  The coefficient-3 point puts 3
+        # on every other unit of the section, so a coefficient lost or
+        # misplaced in a row changes the rank.
+        rng = random.Random(20261020)
+        for _ in range(30):
+            parts, left = [], rng.randint(18, 26)
+            while left:
+                parts.append(rng.randint(1, min(4, left)))
+                left -= parts[-1]
+            t = T(*parts)
+            ls = LS2(t)
+            dim_m = len(t.nilradical_keys)
+            extra = [{ln.key: 1} for ln in ls.zero_lines()]
+            dim = orbit_span_dimension(t, {ln.key: 1 for ln in ls.lines}, "P'", extra)
+            assert density_check(t, ls) == (dim == dim_m, dim), parts
+            section = [ln.unit for ln in step3(ls).lines]
+            for coeffs in ((1, 1), (3, 1)):
+                point = {u: coeffs[k % 2] for k, u in enumerate(section)}
+                keyed = {u.key: c for u, c in point.items()}
+                for group in ("P", "P'"):
+                    expected = dim_m - orbit_span_dimension(t, keyed, group)
+                    assert codim_orbit(t, point, group) == expected, (parts, coeffs, group)
+
+    def test_density_failure_paths_match_oracle(self):
+        # A 0-line dropped from V (kept in the point, relabelled 1), or a
+        # 1-line dropped from the point, can make the span fall short of m;
+        # (pass, dim) must follow the oracle either way.
+        failures = 0
+        for parts in compositions_upto(7):
+            t = T(*parts)
+            dim_m = len(t.nilradical_keys)
+            for mode in (RIGHTMOST, LEFTMOST):
+                ls = LS2(t, mode)
+                variants = []
+                for ln in ls.lines:
+                    if ln.label == 0:
+                        kept = [Line(x.i, x.j, 1) if x is ln else x for x in ls.lines]
+                    else:
+                        kept = [x for x in ls.lines if x is not ln]
+                    variants.append(LineSet(t, tuple(kept), step=2, mode=mode))
+                for variant in variants:
+                    extra = [{ln.key: 1} for ln in variant.zero_lines()]
+                    point = {ln.key: 1 for ln in variant.lines}
+                    dim = orbit_span_dimension(t, point, "P'", extra)
+                    assert density_check(t, variant) == (dim == dim_m, dim), (parts, mode)
+                    failures += dim < dim_m
+        assert failures > 0
+
+    def test_non_unit_keys_rejected(self):
+        # Plain (i, j) tuples used to end in AttributeError.
+        t = T(2, 1, 1, 2)
+        for point in ([(1, 3)], {(1, 3): 1}, [MatrixUnit(1, 3), "x"], {MatrixUnit(1, 3): 1, None: 2}):
+            for group in ("P", "P'"):
+                with pytest.raises(InvalidInputError, match="not a MatrixUnit"):
+                    codim_orbit(t, point, group)
 
     def test_unknown_group(self):
         with pytest.raises(InvalidInputError, match="unknown group"):
