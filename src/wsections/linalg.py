@@ -15,14 +15,12 @@ from .errors import InternalError, InvalidInputError
 def rank_int(rows: Iterable[Sequence[int] | Mapping[int, int]]) -> int:
     """Rank over the rationals by sparse fraction-free row reduction on integers.
 
-    Rows are dense sequences or {column: coefficient} mappings.  Every column
-    and every entry must be an int (a bool is not): the rows are checked in
-    one pass before any reduction, and the first bad row, column or entry in
-    row order raises InvalidInputError.  Each row is then reduced against the
+    Rows are dense sequences or {column: coefficient} mappings whose columns
+    and entries are ints (a bool is not), checked in one pass over all rows
+    before any reduction; the first bad row, column or entry in row order
+    raises InvalidInputError.  Each row is reduced, on a copy, against the
     pivot at its leading column (r <- a*r - b*pivot, then divided by its
-    content; neither for a pivot of +-1) until it becomes a new pivot or
-    vanishes.  A row is copied only when it must be reduced; the caller's
-    rows are never changed.
+    content; neither for a pivot of +-1) until it becomes a new pivot or vanishes.
     """
     table: list[dict[int, int]] = []
     for row in rows:
@@ -34,14 +32,13 @@ def rank_int(rows: Iterable[Sequence[int] | Mapping[int, int]]) -> int:
             table.append(dict(enumerate(row)))
         else:
             raise InvalidInputError(f"rank_int takes sequences or mappings as rows, got {row!r}")
-    kinds = set(map(type, chain(chain.from_iterable(table), chain.from_iterable(map(dict.values, table)))))
-    if not kinds <= {int}:
-        for r in table:
-            for c, x in r.items():
-                if type(c) is not int:
-                    raise InvalidInputError(f"rank_int takes int columns only, got {c!r}")
-                if type(x) is not int:
-                    raise InvalidInputError(f"rank_int takes int entries only, got {x!r}")
+    columns, entries = chain.from_iterable(table), chain.from_iterable(map(dict.values, table))
+    if not set(map(type, chain(columns, entries))) <= {int}:
+        for c, x in chain.from_iterable(map(dict.items, table)):
+            if type(c) is not int:
+                raise InvalidInputError(f"rank_int takes int columns only, got {c!r}")
+            if type(x) is not int:
+                raise InvalidInputError(f"rank_int takes int entries only, got {x!r}")
     pivots: dict[int, dict[int, int]] = {}
     for row in table:
         r = {c: x for c, x in row.items() if x} if 0 in row.values() else row

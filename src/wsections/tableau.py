@@ -126,17 +126,10 @@ class Tableau:
             start += h
         return tuple(cols)
 
-    @cached_property
-    def _boxes(self) -> tuple[Box, ...]:
-        return tuple(
-            Box(row=u, col=v, entry=entry)
-            for v, entries in enumerate(self.columns, start=1)
-            for u, entry in enumerate(entries, start=1)
-        )
-
     def boxes(self) -> tuple[Box, ...]:
         """Every box, in entry order."""
-        return self._boxes
+        row, col = self.entry_row, self.entry_col
+        return tuple(Box(row=row[e], col=col[e], entry=e) for e in range(1, self.n + 1))
 
     def row_entries(self, u: int) -> tuple[int, ...]:
         """Entries in row u, left to right."""
