@@ -26,19 +26,15 @@ from .invariants import (
 )
 from .poly import Polynomial, SymbolicMatrix, det
 from .tableau import (
-    Box,
     Composition,
     MatrixUnit,
     NeighborPair,
     Tableau,
     bs_degree,
-    build_tableau,
     compositions,
-    neighboring_pairs,
     nilradical_basis,
 )
 from .verify import (
-    GradingElement,
     codim_orbit,
     density_check,
     grading_element,
@@ -50,10 +46,8 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Box",
     "Composition",
     "CompositeFamily",
-    "GradingElement",
     "LEFTMOST",
     "Line",
     "LineSet",
@@ -67,7 +61,6 @@ __all__ = [
     "Tableau",
     "bs_degree",
     "build_minor",
-    "build_tableau",
     "codim_orbit",
     "compositions",
     "density_check",
@@ -76,7 +69,6 @@ __all__ = [
     "generic_invariant",
     "grading_element",
     "lineset_to_json",
-    "neighboring_pairs",
     "nilradical_basis",
     "restrict_to_E",
     "restrict_to_section",

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import render
 from .construction import lineset_to_json, step1, step2, step3
 from .errors import InvalidInputError, InvalidStateError, OutputError, WsectionsError
-from .tableau import Composition, build_tableau, compositions
+from .tableau import Composition, Tableau, compositions
 from .verify import REPORT_SCHEMA, verify_composition
 
 SWEEP_N_MAX = 12
@@ -46,7 +46,7 @@ def _write_report(out_dir: str, name: str, payload: dict) -> Path:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     comp = Composition.parse(args.composition)
-    t = build_tableau(comp)
+    t = Tableau(comp)
     ls = step1(t)
     if args.stage >= 2:
         ls = step2(ls, args.mode)

@@ -54,15 +54,18 @@ class Line:
     i: int
     j: int
     label: int = 1
-    gated: bool = False
     stage: int = 0  # 0 for step-1 horizontals, else the row stage that added it
-    gate_stage: int | None = None
+    gate_stage: int | None = None  # the row stage that gated it, if any
 
     def __post_init__(self) -> None:
         if self.label not in (0, 1):
             raise InternalError(f"line label must be 0 or 1, got {self.label}")
         if self.gated and self.label != 0:
             raise InternalError("only 0-labelled lines can be gated")
+
+    @property
+    def gated(self) -> bool:
+        return self.gate_stage is not None
 
     @property
     def key(self) -> tuple[int, int]:
@@ -151,13 +154,15 @@ def step1(t: Tableau) -> LineSet:
     return LineSet(t, _sorted_lines(lines), step=1)
 
 
+def _row_chain(t: Tableau, pair: NeighborPair) -> list[int]:
+    """The row-s boxes from the pair's left column to its right one."""
+    s = pair.s
+    return [col[s - 1] for col in t.columns[pair.v - 1 : pair.v_prime] if len(col) >= s]
+
+
 def _zero_line_for(t: Tableau, pair: NeighborPair, mode: str) -> tuple[int, int]:
     """The horizontal segment of the pair's row-s chain that carries the 0."""
-    chain = [
-        t.entry_at(pair.s, w)
-        for w in range(pair.v, pair.v_prime + 1)
-        if t.col_height(w) >= pair.s
-    ]
+    chain = _row_chain(t, pair)
     if mode == RIGHTMOST:
         return (chain[-2], chain[-1])
     return (chain[0], chain[1])
@@ -191,12 +196,12 @@ def step3(ls: LineSet, last_stage: int | None = None) -> LineSet:
     lines = dict(ls.line_map)
     for pair in t.neighboring_pairs:  # ordered by (height, left column)
         if pair.s <= top:
-            _apply_stage(t, lines, pair, pair.s)
+            _apply_stage(t, lines, pair)
     return LineSet(t, _sorted_lines(lines.values()), step=3, mode=ls.mode, stage3_rows=top)
 
 
-def _apply_stage(t: Tableau, lines: dict[tuple[int, int], Line], pair: NeighborPair, i: int) -> None:
-    v, vp = pair.v, pair.v_prime
+def _apply_stage(t: Tableau, lines: dict[tuple[int, int], Line], pair: NeighborPair) -> None:
+    v, vp, i = pair.v, pair.v_prime, pair.s
     row, col = t.entry_row, t.entry_col
     caught = [
         ln
@@ -215,7 +220,7 @@ def _apply_stage(t: Tableau, lines: dict[tuple[int, int], Line], pair: NeighborP
         if not (col[a.i] < col[a.j] <= col[b.i]):
             raise InternalError("ungated zero lines lost strict non-overlap")
 
-    chain = [t.entry_at(i, w) for w in range(v, vp + 1) if t.col_height(w) >= i]
+    chain = _row_chain(t, pair)
     chain_cols = [col[e] for e in chain]
     q = len(chain) - 1
 
@@ -229,7 +234,7 @@ def _apply_stage(t: Tableau, lines: dict[tuple[int, int], Line], pair: NeighborP
     gaps = sorted(groups)
 
     for ln in caught:
-        lines[ln.key] = Line(ln.i, ln.j, 0, True, ln.stage, i)
+        lines[ln.key] = Line(ln.i, ln.j, 0, ln.stage, i)
 
     for gap in gaps:
         seg = (chain[gap], chain[gap + 1])
@@ -260,7 +265,7 @@ def _apply_stage(t: Tableau, lines: dict[tuple[int, int], Line], pair: NeighborP
 
 
 def _usable(ln: Line, s: int) -> bool:
-    return not ln.gated or (ln.gate_stage is not None and ln.gate_stage > s)
+    return ln.gate_stage is None or ln.gate_stage > s
 
 
 def _cover(starts, targets_of) -> tuple[int, dict[int, int]]:
@@ -313,7 +318,7 @@ def verify_P1(ls: LineSet, pair: NeighborPair) -> CompositeFamily:
     require_neighboring(t, pair)
     v, vp, s = pair.v, pair.v_prime, pair.s
     region = {e for col in t.columns[v - 1 : vp] for e in col[:s]}
-    sources, sinks = t.col_entries(v), set(t.col_entries(vp))  # both of height s; sources by row
+    sources, sinks = t.columns[v - 1], set(t.columns[vp - 1])  # both of height s; sources by row
     starts = sorted(region - sinks)
     targets = region.difference(sources)
     targets_of: dict[int, list[int]] = {b: [] for b in starts}
@@ -372,7 +377,7 @@ def lineset_to_json(ls: LineSet) -> dict:
         "n": t.n,
         "stage": ls.describe_stage(),
         "boxes": [
-            {"entry": b.entry, "row": b.row, "col": b.col} for b in t.boxes()
+            {"entry": e, "row": t.entry_row[e], "col": t.entry_col[e]} for e in range(1, t.n + 1)
         ],
         "lines": [
             {

@@ -85,11 +85,7 @@ def build_minor(t: Tableau, pair: NeighborPair) -> MinorSpec:
     v, vp, s = pair.v, pair.v_prime, pair.s
     lo, hi = t.composition.prefix(v), t.composition.prefix(vp)
     size = hi - lo
-    translated = tuple(
-        entry
-        for w in range(v + 1, vp)
-        for entry in t.col_entries(w)[s:]
-    )
+    translated = tuple(entry for col in t.columns[v : vp - 1] for entry in col[s:])
     degree = bs_degree(t, pair)
     if len(translated) != size - degree:
         raise InternalError("translated diagonal does not match size - degree")

@@ -1,7 +1,9 @@
 """Exact integer linear algebra: the rank over Q and unit-difference systems.
 
 The rank is a sparse fraction-free elimination over the integers, so its cost
-follows the nonzeros; with no modulus and no floats it is exact over Q.
+follows the nonzeros; with no modulus and no floats it is exact over Q.  A
+unit-difference system is solved by walking its constraint graph; an
+inconsistent one has no solution, which is an answer (None), not an error.
 """
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain
 from math import gcd
 
-from .errors import InternalError, InvalidInputError
+from .errors import InvalidInputError
 
 
 def rank_int(rows: Iterable[Sequence[int] | Mapping[int, int]]) -> int:
@@ -70,12 +72,14 @@ def rank_int(rows: Iterable[Sequence[int] | Mapping[int, int]]) -> int:
     return len(pivots)
 
 
-def solve_unit_differences(n: int, constraints: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-    """One integer solution of d_j - d_i = 1 for every constraint (i, j).
+def solve_unit_differences(
+    n: int, constraints: Sequence[tuple[int, int]]
+) -> tuple[int, ...] | None:
+    """One integer solution of d_j - d_i = 1 for every constraint (i, j), or None.
 
     Both endpoints are 1-based.  Each connected component is anchored at its
-    smallest member, which gets 0.  Raises InternalError when the constraint
-    graph is inconsistent.
+    smallest member, which gets 0.  None means the system is inconsistent:
+    some cycle of the constraint graph does not sum to zero.
     """
     adjacency: dict[int, list[tuple[int, int]]] = {k: [] for k in range(1, n + 1)}
     for i, j in constraints:
@@ -93,7 +97,7 @@ def solve_unit_differences(n: int, constraints: Sequence[tuple[int, int]]) -> tu
                 target = values[k] + delta
                 if other in values:
                     if values[other] != target:
-                        raise InternalError("inconsistent unit-difference system")
+                        return None
                 else:
                     values[other] = target
                     queue.append(other)

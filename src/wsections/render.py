@@ -10,13 +10,8 @@ def render_ascii(ls: LineSet) -> str:
     width = len(str(t.n))
     out = [f"composition: {t.composition}    stage: {ls.describe_stage()}"]
     for u in range(1, t.height + 1):
-        cells = []
-        for v in range(1, len(t.composition.parts) + 1):
-            if t.col_height(v) >= u:
-                cells.append(str(t.entry_at(u, v)).rjust(width))
-            else:
-                cells.append(" " * width)
-        out.append("  " + " ".join(cells).rstrip())
+        cells = (str(col[u - 1]) if len(col) >= u else "" for col in t.columns)
+        out.append("  " + " ".join(cell.rjust(width) for cell in cells).rstrip())
     if ls.lines:
         out.append("lines:")
         for ln in ls.lines:
@@ -40,7 +35,7 @@ def render_ascii(ls: LineSet) -> str:
 
 def _positions(ls: LineSet) -> dict[int, tuple[int, int]]:
     t = ls.tableau
-    return {b.entry: (b.col, b.row) for b in t.boxes()}
+    return {e: (t.entry_col[e], t.entry_row[e]) for e in range(1, t.n + 1)}
 
 
 def render_tikz(ls: LineSet) -> str:

@@ -8,8 +8,9 @@ position x[i,j] lies in the nilradical of the block upper-triangular algebra
 cut out by the composition exactly when the column of i is strictly left of
 the column of j.  Everything downstream (lines, minors, weights) speaks in
 box entries, so this module is the single source of truth for the
-entry <-> (row, column) correspondence, kept also as flat tuples indexed by
-entry (column, row, last entry of the column) for the inner loops.
+entry <-> (row, column) correspondence.  A Tableau states it once, as its
+columns of entries and as flat tuples indexed by entry (column, row, last
+entry of the column); callers read those tables, nothing else.
 """
 from __future__ import annotations
 
@@ -78,15 +79,6 @@ class Composition:
 
 
 @dataclass(frozen=True)
-class Box:
-    """One box of the diagram: 1-based row, column and its entry."""
-
-    row: int
-    col: int
-    entry: int
-
-
-@dataclass(frozen=True)
 class NeighborPair:
     """Columns v < v' of common height s with no height-s column between."""
 
@@ -126,24 +118,9 @@ class Tableau:
             start += h
         return tuple(cols)
 
-    def boxes(self) -> tuple[Box, ...]:
-        """Every box, in entry order."""
-        row, col = self.entry_row, self.entry_col
-        return tuple(Box(row=row[e], col=col[e], entry=e) for e in range(1, self.n + 1))
-
     def row_entries(self, u: int) -> tuple[int, ...]:
         """Entries in row u, left to right."""
         return tuple(col[u - 1] for col in self.columns if len(col) >= u)
-
-    def col_entries(self, v: int) -> tuple[int, ...]:
-        return self.columns[v - 1]
-
-    def col_height(self, v: int) -> int:
-        return self.composition.parts[v - 1]
-
-    def entry_at(self, u: int, v: int) -> int:
-        """Entry of the box in row u, column v."""
-        return u + self.composition.prefix(v)
 
     # Flat tables indexed by entry (index 0 unused), built once for the inner loops.
     @cached_property
@@ -173,7 +150,8 @@ class Tableau:
     @cached_property
     def neighboring_pairs(self) -> tuple[NeighborPair, ...]:
         """All pairs of equal-height columns with no column of that height
-        between, ordered by (height, left column); built once."""
+        between, ordered by (height, left column); built once.  Columns of
+        other heights (taller ones included) may separate a pair."""
         by_height: dict[int, list[int]] = {}
         for v, h in enumerate(self.composition.parts, start=1):
             by_height.setdefault(h, []).append(v)
@@ -182,21 +160,6 @@ class Tableau:
             for s, cols in sorted(by_height.items())
             for v, v_prime in zip(cols, cols[1:])
         )
-
-
-def build_tableau(c: Composition) -> Tableau:
-    """Number the diagram of c down the columns, left to right."""
-    return Tableau(c)
-
-
-def neighboring_pairs(t: Tableau) -> tuple[NeighborPair, ...]:
-    """All pairs of equal-height columns with no column of that height between.
-
-    Columns of other heights (taller ones included) may separate the members
-    of a pair.  Ordered by (height, left column); the tableau computes them
-    once, so every call returns the same tuple.
-    """
-    return t.neighboring_pairs
 
 
 def require_neighboring(t: Tableau, p: NeighborPair) -> None:
@@ -227,12 +190,19 @@ def bs_degree(t: Tableau, p: NeighborPair) -> int:
 
 
 def compositions(n: int) -> Iterator[tuple[int, ...]]:
-    """All 2^(n-1) compositions of n in lexicographic order."""
+    """All 2^(n-1) compositions of n in lexicographic order, without recursion.
+
+    Each follows from the one before by the lexicographic successor: the last
+    two parts p, l become p + 1 followed by l - 1 ones.
+    """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InvalidInputError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise InvalidInputError("n must be non-negative")
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in compositions(n - first):
-            yield (first, *rest)
+    parts = [1] * n
+    yield tuple(parts)
+    while len(parts) > 1:
+        last = parts.pop()
+        parts[-1] += 1
+        parts.extend([1] * (last - 1))
+        yield tuple(parts)

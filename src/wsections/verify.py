@@ -19,7 +19,6 @@ exact integer rank.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import construction, invariants
@@ -33,8 +32,7 @@ from .errors import (
     SectionDefectError,
 )
 from .linalg import rank_int, solve_unit_differences
-from .tableau import MatrixUnit, Tableau, nilradical_basis
-from .tableau import Composition, build_tableau
+from .tableau import Composition, MatrixUnit, Tableau, nilradical_basis
 
 REPORT_SCHEMA = "ws-report/2"
 
@@ -74,22 +72,11 @@ def separation_rank(t: Tableau, ls: LineSet) -> int:
     return rank_int(separation_matrix(t, ls))
 
 
-@dataclass(frozen=True)
-class GradingElement:
-    """Diagonal vector d with d_i - d_j = -1 along every horizontal line."""
-
-    values: tuple[int, ...]
-
-    def on_line(self, i: int, j: int) -> int:
-        return self.values[i - 1] - self.values[j - 1]
-
-
-def grading_element(ls: LineSet) -> GradingElement:
-    """Solve d_i - d_j = -1 over all horizontal lines, anchored per component."""
+def grading_element(ls: LineSet) -> tuple[int, ...] | None:
+    """The diagonal d with d_i - d_j = -1 along every horizontal line, anchored
+    per component, or None when no such d exists."""
     _require_step2(ls)
-    t = ls.tableau
-    values = solve_unit_differences(t.n, [ln.key for ln in ls.lines])
-    return GradingElement(values=values)
+    return solve_unit_differences(ls.tableau.n, [ln.key for ln in ls.lines])
 
 
 def _orbit_rows(
@@ -137,6 +124,8 @@ def _orbit_rows(
 
 
 def _as_point(point: "Mapping[MatrixUnit, int] | Iterable[MatrixUnit]") -> dict[tuple[int, int], int]:
+    if not isinstance(point, Iterable):
+        raise InvalidInputError(f"point {point!r} is neither a mapping nor an iterable")
     items = point.items() if isinstance(point, Mapping) else [(u, 1) for u in point]
     for u, c in items:
         if not isinstance(u, MatrixUnit):
@@ -170,8 +159,9 @@ def codim_orbit(
 
     A mapping gives each unit its coefficient, an iterable coefficient 1.
     The codimension is dim m minus the rank of the coordinate rows of
-    [p, point].  A key that is not a MatrixUnit, a coefficient that is not
-    an int, or a unit outside m raises InvalidInputError.
+    [p, point].  A point that is neither, a key that is not a MatrixUnit, a
+    coefficient that is not an int, or a unit outside m raises
+    InvalidInputError.
     """
     _, rows = _orbit_rows(t, _as_point(point), group)
     return len(t.nilradical_keys) - rank_int(rows)
@@ -199,7 +189,7 @@ def verify_composition(parts: tuple[int, ...], det_bound: int | None = None) -> 
     recorded under "skipped", never as a failure.
     """
     comp = Composition(tuple(parts))
-    t = build_tableau(comp)
+    t = Tableau(comp)
     pairs = t.neighboring_pairs
     g = len(pairs)
     dim_m = len(nilradical_basis(t))
@@ -274,8 +264,7 @@ def verify_composition(parts: tuple[int, ...], det_bound: int | None = None) -> 
     dense, dim = density_check(t, ls2)
     checks["density"] = dense
 
-    grading = grading_element(ls2)
-    checks["grading"] = all(grading.on_line(ln.i, ln.j) == -1 for ln in ls2.lines)
+    checks["grading"] = grading_element(ls2) is not None
 
     return {
         "schema": REPORT_SCHEMA,

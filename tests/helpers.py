@@ -4,7 +4,8 @@ Everything here recomputes expected values by a different route than the
 package: determinants by full permutation expansion and by fraction-free
 (Bareiss) elimination over the polynomial ring, ranks by Gaussian
 elimination over fractions, composite-line covers by recursive backtracking,
-restrictions by substituting into the expanded polynomial, orbit tangent
+restrictions by substituting into the expanded polynomial, compositions by
+recursion on the first part, orbit tangent
 spaces by bracketing every basis matrix of p with every unit of the point,
 the nilradical by testing all n^2 positions, minors and their
 specialisations cell by cell from column_of, polynomial strings by one
@@ -253,6 +254,17 @@ HEAVY_COMPOSITIONS = (
     (1,) + (2,) * 10 + (1,),
     (2,) + (1,) * 20 + (2,),
 )
+
+
+def compositions_by_recursion(n: int):
+    """Compositions of n in lexicographic order: each first part, then every
+    composition of the rest.  Recursion depth n, so for small n only."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in compositions_by_recursion(n - first):
+            yield (first, *rest)
 
 
 def compositions_upto(n_max: int):

@@ -22,15 +22,14 @@ from wsections.tableau import (
     Composition,
     MatrixUnit,
     NeighborPair,
+    Tableau,
     bs_degree,
-    build_tableau,
-    neighboring_pairs,
 )
 from wsections.verify import codim_orbit, verify_composition
 
 
 def T(*parts):
-    return build_tableau(Composition(tuple(parts)))
+    return Tableau(Composition(tuple(parts)))
 
 
 def pipeline(t):
@@ -57,7 +56,7 @@ def test_criterion_1_golden_2112():
     assert sec.e == (MatrixUnit(1, 3), MatrixUnit(2, 4), MatrixUnit(4, 5))
     assert set(sec.v) == {MatrixUnit(3, 4), MatrixUnit(3, 6)}
     restrictions = {
-        section_coordinate(build_minor(t, p), sec)[1] for p in neighboring_pairs(t)
+        section_coordinate(build_minor(t, p), sec)[1] for p in t.neighboring_pairs
     }
     assert restrictions == {MatrixUnit(3, 4), MatrixUnit(3, 6)}
     elapsed = time.monotonic() - started
@@ -82,7 +81,7 @@ def test_criterion_2_golden_1221():
 
     sec = extract_section(pipeline(t))
     coords = {
-        section_coordinate(build_minor(t, p), sec)[1] for p in neighboring_pairs(t)
+        section_coordinate(build_minor(t, p), sec)[1] for p in t.neighboring_pairs
     }
     assert coords == {MatrixUnit(3, 5), MatrixUnit(4, 6)}
 
@@ -110,7 +109,7 @@ def test_criterion_4_wide_array_stage2():
     started = time.monotonic()
     t = T(2, 3, 1, 1, 1, 3, 3, 1, 1, 1, 1, 3, 3, 3, 1, 1, 2)
     partial = step3(step2(step1(t)), last_stage=2)
-    for pair in neighboring_pairs(t):
+    for pair in t.neighboring_pairs:
         if pair.s <= 2:
             verify_P1(partial, pair)
     elapsed = time.monotonic() - started
@@ -145,7 +144,7 @@ def test_criterion_6_degree_oracle():
     checked = 0
     for parts in compositions_upto(8):
         t = T(*parts)
-        for pair in neighboring_pairs(t):
+        for pair in t.neighboring_pairs:
             ms = build_minor(t, pair)
             if ms.size <= 7:
                 observed = det(ms.matrix).top_term().degree()
@@ -175,7 +174,7 @@ def test_criterion_8_borel_case():
         sec = extract_section(ls3)
         assert sec.e == ()
         assert set(sec.v) == {MatrixUnit(k, k + 1) for k in range(1, n)}
-        for pair in neighboring_pairs(t):
+        for pair in t.neighboring_pairs:
             ms = build_minor(t, pair)
             assert ms.size == 1
             sign, unit = section_coordinate(ms, sec)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from itertools import product
 
 import pytest
 
@@ -81,6 +83,26 @@ class TestConstruct:
             ["construct", "-c", "2,3,2", "--mode", "leftmost", "--stage", "3"], capsys
         )
         assert code == 2 and "rightmost" in err
+
+    # SHA-256 over `construct` in every format, stage and mode, on four small
+    # compositions and the 17-column array of Figure 1: each call's exit
+    # code, stdout and stderr in turn.  Stage 1 ignores the mode, and a
+    # leftmost stage 3 is the exit-2 error.
+    CONSTRUCT_DIGEST = "88a5477cf333041ab62679780a2ce834155a0af493288383e97b5fb886bd238a"
+
+    def test_construct_golden_digest(self, capsys):
+        digest = hashlib.sha256()
+        figure_1 = "2,3,1,1,1,3,3,1,1,1,1,3,3,3,1,1,2"
+        for comp, fmt, stage, mode in product(
+            ("2,1,1,2", "3,2,1,1,2,3", "5", "1,2,1,3,2,1", figure_1),
+            ("ascii", "json", "tikz", "svg"),
+            ("1", "2", "3"),
+            ("rightmost", "leftmost"),
+        ):
+            argv = ["construct", "-c", comp, "--format", fmt, "--stage", stage, "--mode", mode]
+            code, out, err = run(argv, capsys)
+            digest.update(f"{code}\n{out}{err}".encode())
+        assert digest.hexdigest() == self.CONSTRUCT_DIGEST
 
 
 class TestVerify:

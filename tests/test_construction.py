@@ -27,13 +27,12 @@ from wsections.tableau import (
     Composition,
     MatrixUnit,
     NeighborPair,
-    build_tableau,
-    neighboring_pairs,
+    Tableau,
 )
 
 
 def T(*parts):
-    return build_tableau(Composition(tuple(parts)))
+    return Tableau(Composition(tuple(parts)))
 
 
 def labelled(ls):
@@ -99,7 +98,7 @@ class TestStep2:
             t = T(*parts)
             for mode in (RIGHTMOST, LEFTMOST):
                 ls = step2(step1(t), mode)
-                assert len(ls.zero_lines()) == len(neighboring_pairs(t))
+                assert len(ls.zero_lines()) == len(t.neighboring_pairs)
 
     def test_one_count_matches_gap_formula(self):
         for parts in compositions_upto(9):
@@ -198,7 +197,7 @@ class TestStep3:
         for parts in compositions_upto(8):
             t = T(*parts)
             ls3 = step3(step2(step1(t)))
-            assert len(ls3.zero_lines()) == len(neighboring_pairs(t))
+            assert len(ls3.zero_lines()) == len(t.neighboring_pairs)
 
     def test_extremal_boxes_preserved(self):
         for parts in compositions_upto(8):
@@ -248,7 +247,7 @@ class TestP1P2:
         for parts in compositions_upto(8):
             t = T(*parts)
             ls = step3(step2(step1(t)))
-            for pair in neighboring_pairs(t):
+            for pair in t.neighboring_pairs:
                 assert verify_P2(ls, verify_P1(ls, pair))
 
     def test_region_matches_box_scan(self):
@@ -257,9 +256,11 @@ class TestP1P2:
         for parts in list(compositions_upto(8)) + list(HEAVY_COMPOSITIONS):
             t = T(*parts)
             ls = step3(step2(step1(t)))
-            for pair in neighboring_pairs(t):
+            for pair in t.neighboring_pairs:
                 region = {
-                    b.entry for b in t.boxes() if b.row <= pair.s and pair.v <= b.col <= pair.v_prime
+                    e
+                    for e in range(1, t.n + 1)
+                    if t.entry_row[e] <= pair.s and pair.v <= t.entry_col[e] <= pair.v_prime
                 }
                 fam = verify_P1(ls, pair)
                 assert {e for path in fam.paths for e in path} == region
@@ -300,7 +301,7 @@ class TestP1P2:
             sets = [ls2, ls3, LineSet(t, ls2.lines + added, step=3)]
             dropped = [ls3.lines[:k] + ls3.lines[k + 1 :] for k in range(len(ls3.lines))]
             sets += [LineSet(t, lines, step=3) for lines in dropped]
-            cases += [(ls, pair) for ls in sets for pair in neighboring_pairs(t)]
+            cases += [(ls, pair) for ls in sets for pair in t.neighboring_pairs]
         got = [outcome(ls, pair) for ls, pair in cases]
         assert {P1ViolationError, P1UniquenessError} <= set(got)
         monkeypatch.setattr(construction, "_cover", backtracking_cover)

@@ -36,14 +36,13 @@ from wsections.tableau import (
     Composition,
     MatrixUnit,
     NeighborPair,
+    Tableau,
     bs_degree,
-    build_tableau,
-    neighboring_pairs,
 )
 
 
 def T(*parts):
-    return build_tableau(Composition(tuple(parts)))
+    return Tableau(Composition(tuple(parts)))
 
 
 def section_of(t):
@@ -92,7 +91,7 @@ class TestBuildMinor:
         # the count translated must have.
         for parts in compositions_upto(8):
             t = T(*parts)
-            for pair in neighboring_pairs(t):
+            for pair in t.neighboring_pairs:
                 ms = build_minor(t, pair)
                 observed = generic_invariant(ms, ms.size).degree()
                 assert len(ms.translated) == ms.size - ms.degree == ms.size - observed
@@ -130,7 +129,7 @@ class TestMinorsAgainstDenseOracles:
     def test_build_minor_offset(self):
         for parts in self.INPUTS:
             t = T(*parts)
-            for pair in neighboring_pairs(t):
+            for pair in t.neighboring_pairs:
                 ms = build_minor(t, pair)
                 assert ms.offset == t.composition.prefix(pair.v)
                 assert ms.matrix.rows == dense_minor_matrix(t, pair.v, pair.v_prime, pair.s).rows
@@ -141,7 +140,7 @@ class TestMinorsAgainstDenseOracles:
             t = T(*parts)
             for sec in (extract_section(step2(step1(t))), section_of(t)):
                 e, v = {u.key for u in sec.e}, {u.key for u in sec.v}
-                for pair in neighboring_pairs(t):
+                for pair in t.neighboring_pairs:
                     ms = build_minor(t, pair)
                     assert specialise(ms, e, v) == dense_specialised_rows(ms.matrix, e, v)
                     assert specialise(ms, e, set()) == dense_specialised_rows(ms.matrix, e, set())
@@ -151,7 +150,7 @@ class TestMinorsAgainstDenseOracles:
         for parts in self.INPUTS:
             t = T(*parts)
             sec = section_of(t)
-            minors = [build_minor(t, pair) for pair in neighboring_pairs(t)]
+            minors = [build_minor(t, pair) for pair in t.neighboring_pairs]
             for u in sec.v:
                 e = {w.key for w in sec.e} | {u.key}
                 v = {w.key for w in sec.v} - {u.key}
@@ -169,7 +168,7 @@ class TestMinorsAgainstDenseOracles:
             stray = {(0, 1), (1, 0), (t.n + 1, t.n + 2), (-3, 4), (3, -4)}
             stray |= {(j, i) for i, j in t.nilradical_keys}
             ones = set(t.nilradical_keys) | stray
-            for pair in neighboring_pairs(t):
+            for pair in t.neighboring_pairs:
                 ms = build_minor(t, pair)
                 for _ in range(5):
                     kept = set(rng.sample(sorted(ones), len(ones) // 3))
@@ -219,7 +218,7 @@ class TestRestrictToSection:
     def test_distinct_coordinates_exhaust_v(self):
         for parts in compositions_upto(7):
             t = T(*parts)
-            pairs = neighboring_pairs(t)
+            pairs = t.neighboring_pairs
             sec = section_of(t)
             coords = {section_coordinate(build_minor(t, p), sec)[1] for p in pairs}
             assert coords == set(sec.v)
@@ -231,7 +230,7 @@ class TestRestrictToSection:
         for parts in compositions_upto(6):
             t = T(*parts)
             sec2, sec3 = extract_section(step2(step1(t))), section_of(t)
-            for pair in neighboring_pairs(t):
+            for pair in t.neighboring_pairs:
                 ms = build_minor(t, pair)
                 generic = det_permutation_expansion(ms.matrix)
                 cells = {c for row in ms.matrix.rows for c in row if not isinstance(c, int)}
@@ -260,7 +259,7 @@ class TestRestrictToSection:
         for parts in HEAVY_COMPOSITIONS:
             t = T(*parts)
             sec = section_of(t)
-            for pair in neighboring_pairs(t):
+            for pair in t.neighboring_pairs:
                 ms = build_minor(t, pair)
                 section_coordinate(ms, sec)
                 restrict_to_E(ms, sec)
@@ -270,7 +269,7 @@ class TestRestrictToSection:
         for parts in compositions_upto(6):
             t = T(*parts)
             sec = section_of(t)
-            for pair in neighboring_pairs(t):
+            for pair in t.neighboring_pairs:
                 ms = build_minor(t, pair)
                 if ms.size <= 6:
                     assert count_section_permutations(ms, sec) == 1
@@ -281,21 +280,21 @@ class TestRestrictToE:
         for parts in [(2, 1, 1, 2), (1, 2, 2, 1)]:
             t = T(*parts)
             sec = section_of(t)
-            for pair in neighboring_pairs(t):
+            for pair in t.neighboring_pairs:
                 assert restrict_to_E(build_minor(t, pair), sec).is_zero()
 
     def test_vanishing_exhaustive(self):
         for parts in compositions_upto(7):
             t = T(*parts)
             sec = section_of(t)
-            for pair in neighboring_pairs(t):
+            for pair in t.neighboring_pairs:
                 restrict_to_E(build_minor(t, pair), sec)
 
     def test_augmented_nilfibre_point_1221(self):
         # e + x[5,6] still kills both invariants even though e alone is not dense
         t = T(1, 2, 2, 1)
         aug = Section(e=(MatrixUnit(1, 2), MatrixUnit(2, 4), MatrixUnit(5, 6)), v=())
-        for pair in neighboring_pairs(t):
+        for pair in t.neighboring_pairs:
             assert restrict_to_E(build_minor(t, pair), aug).is_zero()
 
     def test_violation_raises(self):
@@ -311,7 +310,7 @@ class TestNilfibreIsConstantTerm:
     def nonzero_nilfibre_values(t, sec):
         e_keys = {u.key for u in sec.e}
         count = 0
-        for pair in neighboring_pairs(t):
+        for pair in t.neighboring_pairs:
             ms = build_minor(t, pair)
             value = invariants._specialise(ms, e_keys, set())
             assert value == restrict_to_section(ms, sec).terms.get((), 0)
@@ -353,14 +352,14 @@ class TestGenericInvariant:
     def test_degree_matches_formula(self):
         for parts in compositions_upto(6):
             t = T(*parts)
-            for pair in neighboring_pairs(t):
+            for pair in t.neighboring_pairs:
                 inv = generic_invariant(build_minor(t, pair))
                 assert inv.degree() == bs_degree(t, pair)
 
     def test_top_mode_matches_full_expansion(self):
         for parts in compositions_upto(9):
             t = T(*parts)
-            for pair in neighboring_pairs(t):
+            for pair in t.neighboring_pairs:
                 m = build_minor(t, pair).matrix
                 assert det(m, top=True) == det(m).top_term()
 
@@ -369,7 +368,7 @@ class TestGenericInvariant:
         # degree, so nothing downstream re-sorts or re-grades them.
         for parts in compositions_upto(8):
             t = T(*parts)
-            for pair in neighboring_pairs(t):
+            for pair in t.neighboring_pairs:
                 p = det(build_minor(t, pair).matrix, top=True)
                 assert list(p.terms.items()) == p.sorted_terms()
                 fresh = Polynomial(p.terms)
@@ -400,7 +399,7 @@ class TestGenericInvariant:
     def test_renderer_matches_fstring_oracle(self):
         for parts in compositions_upto(8):
             t = T(*parts)
-            for pair in neighboring_pairs(t):
+            for pair in t.neighboring_pairs:
                 inv = generic_invariant(build_minor(t, pair), 8)
                 assert inv.to_string() == to_string_fstrings(inv)
 
@@ -426,7 +425,7 @@ class TestGenericInvariant:
     def test_matches_permutation_oracle(self):
         for parts in [(2, 1, 1, 2), (1, 2, 2, 1), (2, 3, 2)]:
             t = T(*parts)
-            for pair in neighboring_pairs(t):
+            for pair in t.neighboring_pairs:
                 ms = build_minor(t, pair)
                 if ms.size <= 5:
                     assert det(ms.matrix) == det_permutation_expansion(ms.matrix)

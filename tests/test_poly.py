@@ -25,7 +25,7 @@ from wsections.errors import (
 )
 from wsections.invariants import build_minor
 from wsections.poly import Polynomial, SymbolicMatrix, det
-from wsections.tableau import Composition, build_tableau, neighboring_pairs
+from wsections.tableau import Composition, Tableau
 
 
 def sparse_symbolic_matrix(rng: random.Random, size: int) -> SymbolicMatrix:
@@ -107,8 +107,8 @@ def top_values():
     """det's top mode on every generic minor with n <= 8 and on the seeded
     guarded matrices."""
     for parts in compositions_upto(8):
-        t = build_tableau(Composition(parts))
-        for pair in neighboring_pairs(t):
+        t = Tableau(Composition(parts))
+        for pair in t.neighboring_pairs:
             yield det(build_minor(t, pair).matrix, top=True)
     for m in [*small_guarded_matrices(), *large_guarded_matrices()]:
         yield det(m, top=True)

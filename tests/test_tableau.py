@@ -4,6 +4,7 @@ import pytest
 from helpers import (
     HEAVY_COMPOSITIONS,
     column_of,
+    compositions_by_recursion,
     compositions_upto,
     in_nilradical,
     nilradical_by_definition,
@@ -13,10 +14,9 @@ from wsections.tableau import (
     Composition,
     MatrixUnit,
     NeighborPair,
+    Tableau,
     bs_degree,
-    build_tableau,
     compositions,
-    neighboring_pairs,
     nilradical_basis,
 )
 
@@ -26,7 +26,7 @@ compositions_strategy = st.lists(
 
 
 def T(*parts):
-    return build_tableau(Composition(tuple(parts)))
+    return Tableau(Composition(tuple(parts)))
 
 
 class TestComposition:
@@ -63,47 +63,50 @@ class TestNumbering:
 
     def test_entry_formula(self):
         t = T(3, 2, 1, 1, 2, 3)
-        for box in t.boxes():
-            assert box.entry == box.row + t.composition.prefix(box.col)
+        for e in range(1, t.n + 1):
+            assert e == t.entry_row[e] + t.composition.prefix(t.entry_col[e])
+
+    @staticmethod
+    def assert_bijective(t):
+        entries = range(1, t.n + 1)
+        assert sorted(e for col in t.columns for e in col) == list(entries)
+        assert len({(t.entry_row[e], t.entry_col[e]) for e in entries}) == t.n
 
     @given(compositions_strategy)
     def test_bijective(self, parts):
-        t = T(*parts)
-        entries = [b.entry for b in t.boxes()]
-        assert sorted(entries) == list(range(1, t.n + 1))
+        self.assert_bijective(T(*parts))
 
     def test_bijective_exhaustive(self):
         for parts in compositions_upto(7):
-            t = T(*parts)
-            assert sorted(b.entry for b in t.boxes()) == list(range(1, t.n + 1))
+            self.assert_bijective(T(*parts))
 
 
 class TestNeighboringPairs:
     def test_golden(self):
-        assert neighboring_pairs(T(2, 1, 1, 2)) == (
+        assert T(2, 1, 1, 2).neighboring_pairs == (
             NeighborPair(2, 3, 1),
             NeighborPair(1, 4, 2),
         )
-        assert neighboring_pairs(T(1, 2, 2, 1)) == (
+        assert T(1, 2, 2, 1).neighboring_pairs == (
             NeighborPair(1, 4, 1),
             NeighborPair(2, 3, 2),
         )
 
     def test_single_column(self):
-        assert neighboring_pairs(T(6)) == ()
+        assert T(6).neighboring_pairs == ()
 
     def test_taller_column_between_is_allowed(self):
-        assert NeighborPair(1, 3, 2) in neighboring_pairs(T(2, 3, 2))
-        assert NeighborPair(1, 5, 2) in neighboring_pairs(T(2, 1, 1, 3, 2))
+        assert NeighborPair(1, 3, 2) in T(2, 3, 2).neighboring_pairs
+        assert NeighborPair(1, 5, 2) in T(2, 1, 1, 3, 2).neighboring_pairs
 
     def test_same_height_between_blocks(self):
-        pairs = neighboring_pairs(T(1, 1, 1))
+        pairs = T(1, 1, 1).neighboring_pairs
         assert pairs == (NeighborPair(1, 2, 1), NeighborPair(2, 3, 1))
 
     def test_count_matches_adjacent_same_height_runs(self):
         for parts in compositions_upto(8):
             t = T(*parts)
-            g = len(neighboring_pairs(t))
+            g = len(t.neighboring_pairs)
             expected = sum(
                 max(0, sum(1 for p in parts if p == h) - 1) for h in set(parts)
             )
@@ -112,8 +115,8 @@ class TestNeighboringPairs:
     def test_computed_once_in_height_then_column_order(self):
         for parts in compositions_upto(8):
             t = T(*parts)
-            pairs = neighboring_pairs(t)
-            assert pairs is neighboring_pairs(t) is t.neighboring_pairs
+            pairs = t.neighboring_pairs
+            assert pairs is t.neighboring_pairs
             assert list(pairs) == sorted(pairs, key=lambda p: (p.s, p.v))
 
 
@@ -184,7 +187,7 @@ class TestBsDegree:
     def test_bounded_by_span_with_equality_iff_no_taller_between(self):
         for parts in compositions_upto(8):
             t = T(*parts)
-            for p in neighboring_pairs(t):
+            for p in t.neighboring_pairs:
                 d = bs_degree(t, p)
                 span = sum(parts[i - 1] for i in range(p.v + 1, p.v_prime + 1))
                 assert d <= span
@@ -204,3 +207,16 @@ class TestCompositions:
         assert seq == sorted(seq)
         assert all(sum(parts) == 4 for parts in seq)
         assert seq[0] == (1, 1, 1, 1) and seq[-1] == (4,)
+
+    def test_order_matches_recursive_oracle(self):
+        for n in range(13):
+            assert list(compositions(n)) == list(compositions_by_recursion(n))
+
+    def test_no_recursion_limit(self):
+        # One recursion level per part ended in RecursionError here.
+        assert next(compositions(5000)) == (1,) * 5000
+
+    def test_rejects_non_integers(self):
+        for n in (True, False, "3", 3.0, None, -1):
+            with pytest.raises(InvalidInputError):
+                next(compositions(n))

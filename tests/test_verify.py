@@ -18,15 +18,14 @@ from helpers import (
     triangular_unimodular_witness,
     weight_inner,
 )
-from wsections import poly
+from wsections import cli, poly, verify
 from wsections.construction import LEFTMOST, RIGHTMOST, Line, LineSet, step1, step2, step3
-from wsections.errors import InternalError, InvalidInputError, InvalidStateError
+from wsections.errors import InvalidInputError, InvalidStateError
 from wsections.linalg import rank_int, solve_unit_differences
 from wsections.tableau import (
     Composition,
     MatrixUnit,
-    build_tableau,
-    neighboring_pairs,
+    Tableau,
     nilradical_basis,
 )
 from wsections.verify import (
@@ -41,7 +40,7 @@ from wsections.verify import (
 
 
 def T(*parts):
-    return build_tableau(Composition(tuple(parts)))
+    return Tableau(Composition(tuple(parts)))
 
 
 def LS2(t, mode=RIGHTMOST):
@@ -168,8 +167,7 @@ class TestLinalg:
         assert rank_int(sparse) == rank_fractions(m) == 3
 
     def test_unit_differences_inconsistent(self):
-        with pytest.raises(InternalError):
-            solve_unit_differences(3, [(1, 2), (2, 3), (1, 3)])
+        assert solve_unit_differences(3, [(1, 2), (2, 3), (1, 3)]) is None
 
 
 class TestWeights:
@@ -278,25 +276,34 @@ class TestRootSystemType:
 
 class TestGrading:
     def test_two_boxes(self):
-        assert grading_element(LS2(T(1, 1))).values == (0, 1)
+        assert grading_element(LS2(T(1, 1))) == (0, 1)
 
     def test_2112_constraints(self):
-        d = grading_element(LS2(T(2, 1, 1, 2))).values
+        d = grading_element(LS2(T(2, 1, 1, 2)))
         assert d[2] - d[0] == 1 and d[3] - d[2] == 1 and d[4] - d[3] == 1
         assert d[5] - d[1] == 1
 
     def test_single_column_all_zero(self):
-        assert grading_element(LS2(T(4))).values == (0, 0, 0, 0)
+        assert grading_element(LS2(T(4))) == (0, 0, 0, 0)
 
     def test_value_minus_one_on_every_line(self):
         for parts in compositions_upto(8):
-            t = T(*parts)
-            ls = LS2(t)
-            h = grading_element(ls)
+            ls = LS2(T(*parts))
+            d = grading_element(ls)
             for ln in ls.lines:
-                assert h.on_line(ln.i, ln.j) == -1
-            for ln in ls.zero_lines():
-                assert h.on_line(ln.i, ln.j) == -1
+                assert d[ln.i - 1] - d[ln.j - 1] == -1
+
+    def test_inconsistent_lines_have_no_grading(self):
+        # Around the triangle 1 -> 2 -> 3 and 1 -> 3, d_3 - d_1 is both 2 and 1.
+        lines = (Line(1, 2), Line(1, 3), Line(2, 3))
+        assert grading_element(LineSet(T(1, 1, 1), lines, step=2, mode=RIGHTMOST)) is None
+
+    def test_missing_grading_fails_the_report(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(verify, "grading_element", lambda ls: None)
+        report = verify_composition((2, 1, 1, 2))
+        assert report["checks"]["grading"] is False and report["pass"] is False
+        assert cli.main(["verify", "-c", "2,1,1,2", "-o", str(tmp_path)]) == 1
+        assert "failed checks: grading" in capsys.readouterr().out
 
 
 class TestDensity:
@@ -497,6 +504,12 @@ class TestOrbitRowsOracle:
             for group in ("P", "P'"):
                 with pytest.raises(InvalidInputError, match="not a MatrixUnit"):
                     codim_orbit(t, point, group)
+
+    def test_point_neither_mapping_nor_iterable_rejected(self):
+        # These used to end in TypeError: '...' object is not iterable.
+        for point in (5, None, 1.5):
+            with pytest.raises(InvalidInputError, match="neither a mapping nor an iterable"):
+                codim_orbit(T(2, 1, 1, 2), point)
 
     def test_unknown_group(self):
         with pytest.raises(InvalidInputError, match="unknown group"):
