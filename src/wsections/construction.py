@@ -87,6 +87,10 @@ class LineSet:
     stage3_rows: int = 0
 
     def __post_init__(self) -> None:
+        n, col = self.tableau.n, self.tableau.entry_col
+        for ln in self.lines:
+            if not (1 <= ln.i <= n and 1 <= ln.j <= n and col[ln.i] < col[ln.j]):
+                raise InvalidInputError(f"line {ln.key} leaves the nilradical")
         if len({ln.key for ln in self.lines}) != len(self.lines):
             raise InternalError("two lines join the same ordered pair of boxes")
 
@@ -359,10 +363,6 @@ def extract_section(ls: LineSet) -> Section:
     """Units of the 1-lines as e; units of all 0-lines (gated included) as V."""
     if ls.step < 2:
         raise InvalidStateError("labels are only assigned from step 2 on")
-    col = ls.tableau.entry_col
-    for ln in ls.lines:
-        if not col[ln.i] < col[ln.j]:
-            raise InternalError(f"line {ln.key} leaves the nilradical")
     e = tuple(ln.unit for ln in ls.one_lines())
     v = tuple(ln.unit for ln in ls.zero_lines())
     return Section(e=e, v=v)

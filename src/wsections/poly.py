@@ -9,21 +9,24 @@ multiplies two of them.  Nothing here is floating point and nothing
 truncates: exactness is the contract.
 
 Determinants of matrices whose entries are integers or single variables have
-one engine at every size: a sparse Laplace expansion tabulated over the sets
-of columns left free, whose tables hold plain monomial -> coefficient dicts.
-Its top mode, which the generic invariants use, counts top-degree completions
-instead and builds each top monomial once, by a walk along the tight cells;
-it is exact when no two permutations share a monomial, which it checks first.
-Its value keeps the sorted variables and the sorted number tuples of its
-monomials, with the degree recorded: the string renders from the numbers,
-the terms dict is built on first read, and reading the top term, the degree
-or the string re-grades and builds nothing.
-A determinant whose tables would outgrow MEMO_BUDGET entries raises
-ResourceLimitError rather than exhaust memory.
+one engine at every size and in both modes: a sparse Laplace expansion
+tabulated over the sets of columns left free, where each set records how
+many completions reach it and the cells that lead there, then a walk along
+those cells whose leaves are the permutations' signed monomials.  Full mode
+keeps every cell and sums the leaves that share a monomial.  Top mode, which
+the generic invariants use, keeps only the cells of top degree, and its
+leaves never merge: it is exact when no two permutations share a monomial,
+which it checks first.  Its value keeps the sorted variables and the sorted
+number tuples of its monomials, with the degree recorded: the string renders
+from the numbers, the terms dict is built on first read, and reading the top
+term, the degree or the string re-grades and builds nothing.
+A determinant whose column sets and completions would outgrow MEMO_BUDGET
+raises ResourceLimitError rather than exhaust memory.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
@@ -158,32 +161,36 @@ class SymbolicMatrix:
         return len(self.rows)
 
 
-MEMO_BUDGET = 1 << 20  # column sets plus terms one determinant may tabulate
+MEMO_BUDGET = 1 << 20  # column sets plus completions one determinant may tabulate
 
 
 def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
     """Exact symbolic determinant by sparse Laplace expansion.
 
     Rows are expanded sparsest first, over every set of columns the rows
-    above can leave free, from the last row up.  In full mode each column
-    set holds the minor of the remaining rows on it as a monomial ->
-    coefficient dict, dropped once the row above has used it.  Raises
-    ResourceLimitError once the column sets and terms tabulated for this
-    determinant exceed MEMO_BUDGET.
+    above can leave free.  From the last row up, each column set records how
+    many completions the rows below have on it and the cells that lead
+    there; a cell whose next column set has a single cell takes that forced
+    step at once.  A walk on an explicit stack then follows the cells from
+    the full column set, and each leaf is one permutation's signed monomial.
+    Raises ResourceLimitError once the column sets and completions tabulated
+    for this determinant exceed MEMO_BUDGET.
+
+    Full mode keeps every cell with a completion, so the completions count
+    permutations.  Leaves that share a monomial are summed, zeros dropped,
+    and a variable a leaf meets k times gets exponent k: cancellation and
+    powers stay exact.
 
     With top=True only the homogeneous component of maximal total degree is
-    expanded: each column set holds its rows' best degree, how many
-    completions reach it and the tight cells that lead there, and a walk on
-    an explicit stack along those cells yields one top monomial per leaf.
-    The leaves are sorted once; the result keeps the sorted variables and
-    the sorted leaf number tuples with their coefficients, renders its
-    string from them, builds terms (in sorted_terms() order) only on first
-    read, and records its degree (-1 when no permutation survives), which
-    is_zero(), degree() and top_term() then read.
-    The budget counts the completions, the terms a table of top-degree
-    cofactors would hold.  That is exact only when no two permutations share
-    a monomial, so top mode first checks that no variable appears twice and
-    no row holds two nonzero constants, and raises InternalError otherwise.
+    expanded: each column set also records its rows' best degree and keeps
+    only the tight cells, those that reach it, and their completions.  The
+    result keeps the sorted variables and the sorted leaf number tuples with
+    their coefficients, renders its string from them, builds terms (in
+    sorted_terms() order) only on first read, and records its degree (-1
+    when no permutation survives), which is_zero(), degree() and top_term()
+    then read.  Its leaves must never merge, so top mode first checks that
+    no variable appears twice and no row holds two nonzero constants, and
+    raises InternalError otherwise.
     """
     m = matrix.size
     nonzero = [[(c, cell) for c, cell in enumerate(row) if cell != 0] for row in matrix.rows]
@@ -200,41 +207,20 @@ def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
         free.append({mask ^ 1 << c for mask in free[-1] for c, _ in row if mask >> c & 1})
         held += len(free[-1])
         _check_budget(held, m)
-    sign = _permutation_sign(order)
-    if top:
-        return _top_terms(rows, free, held, sign)
-    minors: dict[int, dict[Monomial, int]] = {0: {_ONE: 1}}
-    for row, masks in zip(reversed(rows), reversed(free)):
-        table = {}
-        for mask in masks:
-            total: dict[Monomial, int] = {}
-            for c, cell in row:
-                bit = 1 << c
-                if mask & bit and (sub := minors[mask ^ bit]):
-                    # Moving column c to the front passes the free columns below it.
-                    _add_product(total, sub, cell, (mask & (bit - 1)).bit_count() & 1)
-            table[mask] = total
-            held += len(total)
-            _check_budget(held, m)
-        minors = table
-    terms = minors[(1 << m) - 1]
-    return _value(terms if sign == 1 else {mono: -coeff for mono, coeff in terms.items()})
-
-
-def _top_terms(rows: list, free: list, held: int, sign: int) -> Polynomial:
-    """Top-degree terms of a guarded matrix, sorted and graded: count completions, walk tight cells."""
-    m = len(rows)
-    # Number the variables in sorted order: each occurs once (the guard), a
-    # leaf sorts small ints, and the numbers sort as the monomials' items do.
-    items = sorted({(cell, 1) for row in rows for _, cell in row if not isinstance(cell, int)})
-    number = {var: k for k, (var, _) in enumerate(items)}
+    # Number the variables in sorted order: a leaf sorts small ints, and the
+    # numbers sort as the variables do.
+    names = sorted({cell for row in rows for _, cell in row if not isinstance(cell, int)})
+    number = dict(zip(names, range(len(names))))
     # reach[mask]: (best degree of the rows below on mask, completions reaching it,
-    # tight cells (the cells to follow next or None at the end, multiplier, numbers)).
+    # cells (the cells to follow next or None at the end, multiplier, numbers)).
+    # A variable raises the degree in top mode only, so full mode keeps every cell.
+    var_rise = int(top)
     reach: dict[int, tuple] = {0: (0, 1, None)}
     for row, masks in zip(reversed(rows), reversed(free)):
         # Each cell once: (bit, lower bits, rise, multiplier, numbers).
         row_cells = [
-            (1 << c, (1 << c) - 1) + ((0, cell, ()) if isinstance(cell, int) else (1, 1, (number[cell],)))
+            (1 << c, (1 << c) - 1)
+            + ((0, cell, ()) if isinstance(cell, int) else (var_rise, 1, (number[cell],)))
             for c, cell in row
         ]
         table = {}
@@ -251,7 +237,8 @@ def _top_terms(rows: list, free: list, held: int, sign: int) -> Polynomial:
                     if sub and len(sub) == 1:  # a forced step below: take it here
                         sub, sub_mult, sub_own = sub[0]
                         mult, own = mult * sub_mult, own + sub_own
-                    odd = (mask & low).bit_count() & 1  # as in full mode
+                    # Moving column c to the front passes the free columns below it.
+                    odd = (mask & low).bit_count() & 1
                     cells.append((sub, -mult if odd else mult, own))
                     count += n
             table[mask] = best, count, cells
@@ -259,17 +246,24 @@ def _top_terms(rows: list, free: list, held: int, sign: int) -> Polynomial:
             _check_budget(held, m)
         reach = table
     best, _, cells = reach[(1 << m) - 1]
-    leaves = {}  # no two leaves share a monomial (the guard): nothing merges or cancels
-    stack = [(cells, sign, ())]
+    leaves: dict[tuple, int] = {}
+    stack = [(cells, _permutation_sign(order), ())]
     while stack:
         cells, coeff, nums = stack.pop()
         for sub, mult, own in cells:
             if sub is None:
-                leaves[tuple(sorted(nums + own))] = coeff * mult
+                key = tuple(sorted(nums + own))
+                leaves[key] = leaves.get(key, 0) + coeff * mult
             else:
                 stack.append((sub, coeff * mult, nums + own))
-    # Squarefree monomials of one degree: sorting their numbers is sorted_terms() order.
-    return _value(None, best, (items, sorted(leaves.items())))
+    if top:
+        # Squarefree monomials of one degree: sorting their numbers is sorted_terms() order.
+        return _value(None, best, ([(var, 1) for var in names], sorted(leaves.items())))
+    terms = {}
+    for key, c in leaves.items():
+        if c:  # a run of one number in a sorted leaf is one variable and its exponent
+            terms[tuple([(names[k], len(list(run))) for k, run in groupby(key)])] = c
+    return _value(terms)
 
 
 def _value(
@@ -287,40 +281,6 @@ def _check_budget(held: int, size: int) -> None:
         raise ResourceLimitError(
             f"determinant of size {size} needs more than {MEMO_BUDGET} table entries"
         )
-
-
-def _add_product(total: dict[Monomial, int], sub: dict[Monomial, int], cell: Entry, odd: int) -> None:
-    """total += (-1)**odd * cell * sub, in place."""
-    if isinstance(cell, int):
-        factor = -cell if odd else cell
-        if not total:
-            total.update(sub if factor == 1 else {mono: k * factor for mono, k in sub.items()})
-            return
-        for mono, k in sub.items():
-            s = total.get(mono, 0) + k * factor
-            if s:
-                total[mono] = s
-            else:
-                del total[mono]
-        return
-    last = ((cell, 1),)
-    for mono, k in sub.items():
-        mono = mono + last if not mono or mono[-1][0] < cell else _times_var(mono, cell)
-        s = total.get(mono, 0) + (-k if odd else k)
-        if s:
-            total[mono] = s
-        else:
-            del total[mono]
-
-
-def _times_var(mono: Monomial, var: Var) -> Monomial:
-    """mono * var: a sorted insert, or one more power of a variable already there."""
-    k = len(mono)
-    while k and mono[k - 1][0] > var:
-        k -= 1
-    if k and mono[k - 1][0] == var:
-        return mono[: k - 1] + ((var, mono[k - 1][1] + 1),) + mono[k:]
-    return mono[:k] + ((var, 1),) + mono[k:]
 
 
 def _permutation_sign(perm: Iterable[int]) -> int:

@@ -4,6 +4,7 @@ Everything here recomputes expected values by a different route than the
 package: determinants by full permutation expansion and by fraction-free
 (Bareiss) elimination over the polynomial ring, ranks by Gaussian
 elimination over fractions, composite-line covers by recursive backtracking,
+perfect matchings of a matrix's support by a count over covered column sets,
 restrictions by substituting into the expanded polynomial, compositions by
 recursion on the first part, orbit tangent
 spaces by bracketing every basis matrix of p with every unit of the point,
@@ -421,6 +422,23 @@ def count_section_permutations(ms, sec) -> int:
     allowed = {u.key for u in sec.e} | {u.key for u in sec.v}
     ok = [[c != 0 if isinstance(c, int) else c in allowed for c in row] for row in ms.matrix.rows]
     return sum(all(ok[r][c] for r, c in enumerate(p)) for p in permutations(range(ms.size)))
+
+
+def count_perfect_matchings(rows) -> int:
+    """Perfect matchings of the support (the nonzero cells) of a square matrix.
+
+    A count over the sets of columns the rows taken so far cover, one row at
+    a time; no determinant is expanded.
+    """
+    covers = {0: 1}
+    for row in rows:
+        nxt: dict[int, int] = {}
+        for used, k in covers.items():
+            for c, cell in enumerate(row):
+                if cell != 0 and not used >> c & 1:
+                    nxt[used | 1 << c] = nxt.get(used | 1 << c, 0) + k
+        covers = nxt
+    return sum(covers.values())
 
 
 def triangular_unimodular_witness(rows):

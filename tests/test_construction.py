@@ -10,6 +10,7 @@ from wsections.construction import (
     RIGHTMOST,
     Line,
     LineSet,
+    Section,
     extract_section,
     lineset_to_json,
     step1,
@@ -19,6 +20,7 @@ from wsections.construction import (
     verify_P2,
 )
 from wsections.errors import (
+    InvalidInputError,
     InvalidStateError,
     P1UniquenessError,
     P1ViolationError,
@@ -353,6 +355,23 @@ class TestSection:
     def test_requires_labels(self):
         with pytest.raises(InvalidStateError):
             extract_section(step1(T(2, 2)))
+
+    def test_lines_outside_the_nilradical_rejected(self):
+        # These used to be accepted: (1, 9) then ended in KeyError in
+        # grading_element and IndexError here, and (2, 1) was graded.
+        for t, key in (
+            (T(1, 1), (1, 9)),
+            (T(1, 1), (2, 1)),
+            (T(1, 1), (0, 2)),
+            (T(1, 1), (1, 1)),
+            (T(2, 1, 1, 2), (1, 2)),
+            (T(2, 1, 1, 2), (4, 3)),
+        ):
+            for step in (1, 2, 3):
+                with pytest.raises(InvalidInputError, match="leaves the nilradical"):
+                    LineSet(t, (Line(*key),), step=step, mode=RIGHTMOST)
+        ls = LineSet(T(2, 1, 1, 2), (Line(3, 4), Line(1, 6, 0)), step=2, mode=RIGHTMOST)
+        assert extract_section(ls) == Section(e=(MatrixUnit(3, 4),), v=(MatrixUnit(1, 6),))
 
 
 class TestSerialization:

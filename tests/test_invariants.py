@@ -6,6 +6,7 @@ from helpers import (
     HEAVY_COMPOSITIONS,
     X,
     compositions_upto,
+    count_perfect_matchings,
     count_section_permutations,
     dense_minor_matrix,
     dense_specialised_rows,
@@ -273,6 +274,22 @@ class TestRestrictToSection:
                 ms = build_minor(t, pair)
                 if ms.size <= 6:
                     assert count_section_permutations(ms, sec) == 1
+
+    def test_one_matching_on_every_restriction_support_none_on_nilfibre(self):
+        # The traffic det serves: each restriction walks to exactly one leaf
+        # and each nilfibre determinant to none (P1 on the matrix side).
+        inputs = [*compositions_upto(10), *HEAVY_COMPOSITIONS]
+        pairs = 0
+        for parts in inputs:
+            t = T(*parts)
+            sec = section_of(t)
+            e, v = {u.key for u in sec.e}, {u.key for u in sec.v}
+            for pair in t.neighboring_pairs:
+                matrix = build_minor(t, pair).matrix
+                assert count_perfect_matchings(dense_specialised_rows(matrix, e, v)) == 1, (parts, pair)
+                assert count_perfect_matchings(dense_specialised_rows(matrix, e, set())) == 0, (parts, pair)
+                pairs += 1
+        assert pairs == 2559
 
 
 class TestRestrictToE:

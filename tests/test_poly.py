@@ -9,6 +9,7 @@ from helpers import (
     Ring,
     X,
     compositions_upto,
+    count_perfect_matchings,
     det_fraction_free,
     det_permutation_expansion,
     divexact,
@@ -87,6 +88,26 @@ def large_guarded_matrices() -> list[SymbolicMatrix]:
             rows[a], rows[b] = [0] * size, [0] * size
             rows[a][c], rows[b][c] = pool.pop(), pool.pop()
         out.append(SymbolicMatrix(tuple(map(tuple, rows))))
+    return out
+
+
+def merging_matrices() -> list[SymbolicMatrix]:
+    """Seeded sparse matrices of sizes 2 to 7 whose rows hold several
+    constants and draw their variables from a pool of three, so that
+    permutations share monomials: full mode's leaves merge, add up, cancel
+    and raise powers."""
+    rng = random.Random(31337)
+    pool = [(1, 2), (1, 3), (2, 3)]
+    out = []
+    for _ in range(150):
+        size = rng.randint(2, 7)
+        rows = []
+        for _ in range(size):
+            row: list = [0] * size
+            for c in rng.sample(range(size), rng.randint(2, min(size, 4))):
+                row[c] = rng.choice(pool) if rng.random() < 0.4 else rng.choice((-2, -1, 1, 1, 2, 3))
+            rows.append(tuple(row))
+        out.append(SymbolicMatrix(tuple(rows)))
     return out
 
 
@@ -304,6 +325,49 @@ class TestDet:
         m = SymbolicMatrix(((v, 1, 0), (0, v, 1), (1, 0, v)))
         assert det(m) == X(1, 2) * X(1, 2) * X(1, 2) + 1
         assert det(m) == det_permutation_expansion(m)
+        x, y = v, (3, 4)
+        diagonal = SymbolicMatrix(((x, 0, 0, 0), (0, y, 0, 0), (0, 0, x, 0), (0, 0, 0, x)))
+        assert det(diagonal).terms == {((x, 3), (y, 1)): 1}
+        squares = SymbolicMatrix(((x, y), (-1, x)))
+        assert det(squares).terms == {((x, 2),): 1, ((y, 1),): 1}
+        assert det(squares).to_string() == "x[1,2]^2 + x[3,4]"
+
+    def test_leaves_that_cancel_or_add_up(self):
+        x, y = (1, 2), (3, 4)
+        for rows, expected in (
+            (((1, 1), (1, 1)), lift(0)),
+            (((1, -1), (1, 1)), lift(2)),
+            (((x, y), (x, y)), lift(0)),
+            (((x, x), (-1, 1)), 2 * X(1, 2)),
+            (((x, 2), (3, x)), X(1, 2) * X(1, 2) - 6),
+            (((x, y, 0), (0, x, y), (y, 0, x)), X(1, 2) * X(1, 2) * X(1, 2) + X(3, 4) * X(3, 4) * X(3, 4)),
+            (((x, 1, 1), (1, x, 1), (1, 1, x)), lift(2) + X(1, 2) * X(1, 2) * X(1, 2) - 3 * X(1, 2)),
+            (((1, 1, 0), (1, 1, 0), (0, 0, x)), lift(0)),
+        ):
+            m = SymbolicMatrix(rows)
+            assert count_perfect_matchings(rows) >= 2
+            assert det(m) == expected == det_permutation_expansion(m)
+
+    def test_merging_leaves_match_permutation_expansion(self):
+        merged = cancelled = powers = 0
+        for m in merging_matrices():
+            got = det(m)
+            assert got == det_permutation_expansion(m)
+            assert all(c != 0 for c in got.terms.values())
+            merged += len(got.terms) < count_perfect_matchings(m.rows)
+            cancelled += got.is_zero() and count_perfect_matchings(m.rows) > 0
+            powers += any(e > 1 for mono in got.terms for _, e in mono)
+        assert merged > 20 and cancelled > 0 and powers > 20
+
+    def test_dense_integer_matrix_of_size_10_exceeds_memo_budget(self):
+        # Full mode counts permutations: the 10! completions of this
+        # Vandermonde matrix are past the budget, though its determinant is
+        # one constant.
+        rows = tuple(tuple((r + 1) ** c for c in range(10)) for r in range(10))
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            det(SymbolicMatrix(rows))
+        assert time.perf_counter() - start < 5
 
     def test_top_mode_matches_permutation_expansion(self):
         for m in small_guarded_matrices():
