@@ -190,7 +190,13 @@ def step2(ls: LineSet, mode: str = RIGHTMOST) -> LineSet:
 
 
 def step3(ls: LineSet, last_stage: int | None = None) -> LineSet:
-    """Apply the row stages 1..last_stage (default: full height)."""
+    """Apply the row stages 1..last_stage (default: full height).
+
+    Raises InvalidInputError for a last_stage that is not an int (a bool
+    included), and InvalidStateError for one outside [1, height].
+    """
+    if last_stage is not None and last_stage.__class__ is not int:
+        raise InvalidInputError(f"stage cap must be an integer, got {last_stage!r}")
     if ls.step != 2 or ls.mode != RIGHTMOST:
         raise InvalidStateError("step3 expects a rightmost step-2 line set")
     t = ls.tableau

@@ -6,16 +6,17 @@ shifted s further; writing m for its size, the matrix is evaluated on the
 identity translate of a generic nilradical point, so position (a, b) holds
 the variable x[a,b] when that coordinate lives in the nilradical, 1 when
 a == b, and 0 otherwise: a variable exactly when b > t.column_end[a], as
-entries grow with the column.  The entries of boxes lying strictly between the
-pair in rows below s make up translated.  Only their count, size - degree,
-holds: each top monomial uses that many diagonal ones, but not always these
-(pair (1,3) of 1,2,1 has translated (3,), and x[1,3]*x[3,4] uses the 1 at (2,2)).
+entries grow with the column.  Each top monomial uses size - degree of the
+diagonal ones, as many as the columns strictly between the pair have boxes
+below row s, but not always the ones in those boxes' rows (pair (1,3) of
+1,2,1: x[1,3]*x[3,4] uses the 1 at (2,2), not the one in box 3's row).
 
 Three evaluations matter: the fully generic determinant (whose top term is
 the invariant attached to the pair), the restriction to a section (1 on e,
 coordinates of V kept), and the restriction to the candidate nilfibre point
-(1 on e, 0 on V), which must vanish.  Both set only the variable cells
-their keys name, so they cost the size plus the section's lines, not m^2.
+(1 on e, 0 on V), which must vanish.  Both read each of the minor's m^2
+cells once: a constant stays, and a variable, which is its own key (a, b),
+stays when V names it and becomes 1 or 0 as e names it or not.
 """
 from __future__ import annotations
 
@@ -23,20 +24,10 @@ from dataclasses import dataclass
 
 from .construction import Section
 from .errors import (
-    InternalError,
-    InvalidInputError,
-    NilfibreViolationError,
-    ResourceLimitError,
-    SectionDefectError,
+    InvalidInputError, NilfibreViolationError, ResourceLimitError, SectionDefectError,
 )
 from .poly import Polynomial, SymbolicMatrix, det
-from .tableau import (
-    MatrixUnit,
-    NeighborPair,
-    Tableau,
-    bs_degree,
-    require_neighboring,
-)
+from .tableau import MatrixUnit, NeighborPair, Tableau, bs_degree
 
 DEFAULT_DET_BOUND = 8
 
@@ -58,14 +49,12 @@ def det_size_bound(bound: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class MinorSpec:
-    """A pair's minor: size, translated diagonal, degree, symbolic matrix."""
+    """A pair's minor: size, degree of its invariant, symbolic matrix."""
 
     pair: NeighborPair
     size: int
-    translated: tuple[int, ...]  # size - degree entries; only the count is meaningful
     degree: int
     matrix: SymbolicMatrix
-    offset: int  # rows are entries offset+1 .. offset+size, columns pair.s further on
 
 
 def _raw_minor_matrix(t: Tableau, v: int, v_prime: int, s: int) -> SymbolicMatrix:
@@ -81,41 +70,25 @@ def _raw_minor_matrix(t: Tableau, v: int, v_prime: int, s: int) -> SymbolicMatri
 
 def build_minor(t: Tableau, pair: NeighborPair) -> MinorSpec:
     """Identity-translated symbolic minor for a neighboring pair."""
-    require_neighboring(t, pair)
-    v, vp, s = pair.v, pair.v_prime, pair.s
-    lo, hi = t.composition.prefix(v), t.composition.prefix(vp)
-    size = hi - lo
-    translated = tuple(entry for col in t.columns[v : vp - 1] for entry in col[s:])
-    degree = bs_degree(t, pair)
-    if len(translated) != size - degree:
-        raise InternalError("translated diagonal does not match size - degree")
-    return MinorSpec(
-        pair=pair,
-        size=size,
-        translated=translated,
-        degree=degree,
-        matrix=_raw_minor_matrix(t, v, vp, s),
-        offset=lo,
-    )
+    degree = bs_degree(t, pair)  # raises InvalidInputError unless the pair is neighboring
+    matrix = _raw_minor_matrix(t, pair.v, pair.v_prime, pair.s)
+    return MinorSpec(pair=pair, size=matrix.size, degree=degree, matrix=matrix)
 
 
 def _specialise(ms: MinorSpec, ones: set, kept: set) -> Polynomial:
-    """Determinant with 1 on the cells in ones, those in kept symbolic, 0 elsewhere.
+    """Determinant of the minor with its variable cells specialised by key.
 
-    From the diagonal ones, only the minor's variable cells that ones and
-    then kept name are set, so kept wins.
+    A constant cell stays; a variable cell stays symbolic when kept names
+    it, and otherwise becomes 1 when ones names it and 0 when not.
     """
-    m, s, lo = ms.size, ms.pair.s, ms.offset
-    generic = ms.matrix.rows
-    body = [[0] * m for _ in range(m)]
-    for r in range(s, m):
-        body[r][r - s] = 1
-    for keys, symbolic in ((ones, False), (kept, True)):
-        for a, b in keys:
-            r, c = a - lo - 1, b - lo - s - 1
-            if 0 <= r < m and 0 <= c < m and type(cell := generic[r][c]) is tuple:
-                body[r][c] = cell if symbolic else 1
-    return det(SymbolicMatrix(tuple(map(tuple, body))))
+    body = [
+        tuple([
+            cell if cell.__class__ is int or cell in kept else 1 if cell in ones else 0
+            for cell in row
+        ])
+        for row in ms.matrix.rows
+    ]
+    return det(SymbolicMatrix(tuple(body)))
 
 
 def restrict_to_section(ms: MinorSpec, sec: Section) -> Polynomial:
@@ -157,11 +130,11 @@ def generic_invariant(ms: MinorSpec, bound: int | None = None) -> Polynomial:
     """Top term of the fully generic translated minor determinant.
 
     The determinant is expanded in det's top mode, which builds only the
-    monomials of highest degree.  bound is a resolved size bound; None
-    resolves it with det_size_bound().
+    monomials of highest degree.  bound is resolved by det_size_bound(), so
+    None means the default and a non-integer or one below 1 raises
+    InvalidInputError.
     """
-    if bound is None:
-        bound = det_size_bound()
+    bound = det_size_bound(bound)
     if ms.size > bound:
         raise ResourceLimitError(
             f"minor size {ms.size} exceeds determinant bound {bound}"

@@ -5,8 +5,10 @@ a monomial is a tuple of ((i, j), exponent) items sorted by variable, and a
 Polynomial maps monomials to nonzero arbitrary-precision integer
 coefficients.  The zero polynomial is the empty mapping.  A Polynomial is a
 value to read (terms, degree, top term, string); nothing here adds or
-multiplies two of them.  Nothing here is floating point and nothing
-truncates: exactness is the contract.
+multiplies two of them.  It holds one form, whoever builds it: the sorted
+items, each monomial as the tuple of its items' numbers with its
+coefficient, in sorted order, and the least and greatest degree.  Nothing
+here is floating point and nothing truncates: exactness is the contract.
 
 Determinants of matrices whose entries are integers or single variables have
 one engine at every size and in both modes: a sparse Laplace expansion
@@ -16,10 +18,8 @@ those cells whose leaves are the permutations' signed monomials.  Full mode
 keeps every cell and sums the leaves that share a monomial.  Top mode, which
 the generic invariants use, keeps only the cells of top degree, and its
 leaves never merge: it is exact when no two permutations share a monomial,
-which it checks first.  Its value keeps the sorted variables and the sorted
-number tuples of its monomials, with the degree recorded: the string renders
-from the numbers, the terms dict is built on first read, and reading the top
-term, the degree or the string re-grades and builds nothing.
+which it checks first, and it fills the value's form from its walk
+directly; full mode hands its summed terms to the constructor.
 A determinant whose column sets and completions would outgrow MEMO_BUDGET
 raises ResourceLimitError rather than exhaust memory.
 """
@@ -43,29 +43,36 @@ _EXPONENT = itemgetter(1)
 class Polynomial:
     """Sparse integer polynomial in x[i,j] variables, read but never combined.
 
-    A result of det's top mode keeps what its walk found: the sorted
-    variables and the sorted number tuples of its monomials, with their
-    coefficients.  It records its degree, which is_zero(), degree() and
-    top_term() read in constant time; to_string() renders from the numbers,
-    and terms builds the monomial dict on first read and keeps it."""
+    A value has one form: its sorted (variable, exponent) items, the number
+    tuple of each monomial over those items with its coefficient, sorted
+    (numbers sort as the items do, so this is sorted_terms() order), and its
+    least and greatest degree.  The constructor numbers the terms it is
+    given; det's top mode fills the form directly.  is_zero(), degree() and
+    a homogeneous value's top_term() read the degrees, to_string() renders
+    from the numbers, and terms builds the monomial dict on first read and
+    keeps it."""
 
-    __slots__ = ("_terms", "_top", "_numbered")
+    __slots__ = ("_items", "_pairs", "_low", "_high", "_terms")
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        self._terms: dict[Monomial, int] | None = {m: c for m, c in (terms or {}).items() if c != 0}
-        self._top: int | None = None  # degree of a homogeneous result; only det sets it
-        self._numbered: tuple | None = None  # (items, sorted (numbers, coeff)); only det sets it
+        terms = [(mono, c) for mono, c in (terms or {}).items() if c != 0]
+        self._items = items = sorted({item for mono, _ in terms for item in mono})
+        number = dict(zip(items, range(len(items)))).__getitem__
+        self._pairs = sorted([(tuple(map(number, mono)), c) for mono, c in terms])
+        degrees = [sum(map(_EXPONENT, mono)) for mono, _ in terms] or [-1]
+        self._low, self._high = min(degrees), max(degrees)
+        self._terms: dict[Monomial, int] | None = None
 
     @property
     def terms(self) -> dict[Monomial, int]:
-        """The monomial -> coefficient dict; a top-mode value builds it on first read."""
+        """The monomial -> coefficient dict, in sorted_terms() order; built on first read."""
         if self._terms is None:
-            items, pairs = self._numbered
-            self._terms = {tuple([items[k] for k in nums]): c for nums, c in pairs}
+            items = self._items
+            self._terms = {tuple([items[k] for k in nums]): c for nums, c in self._pairs}
         return self._terms
 
     def is_zero(self) -> bool:
-        return self._top < 0 if self._top is not None else not self._terms
+        return not self._pairs
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
@@ -76,35 +83,27 @@ class Polynomial:
 
     def degree(self) -> int:
         """Maximal total exponent; -1 for the zero polynomial."""
-        if self._top is not None:
-            return self._top
-        if not self._terms:
-            return -1
-        return max([sum(map(_EXPONENT, m)) for m in self._terms])
+        return self._high
 
     def top_term(self) -> "Polynomial":
         """Homogeneous component of maximal total degree."""
-        if self.is_zero():
+        if not self._pairs:
             raise UndefinedGradingError("the zero polynomial has no top term")
-        if self._top is not None:
-            return self  # det's top mode: homogeneous already
-        degrees = [sum(map(_EXPONENT, m)) for m in self._terms]
-        best = max(degrees)
-        if min(degrees) == best:
+        if self._low == self._high:
             return self  # already homogeneous; a Polynomial is never changed
-        return Polynomial({m: c for (m, c), d in zip(self._terms.items(), degrees) if d == best})
+        best = self._high
+        return Polynomial({m: c for m, c in self.terms.items() if sum(map(_EXPONENT, m)) == best})
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return sorted(self.terms.items())
+        return list(self.terms.items())
 
     def to_string(self) -> str:
-        items, pairs = self._numbered or _number(self._terms)
-        if not pairs:
+        if not self._pairs:
             return "0"
         # Each item is named once; a monomial joins its names by number, hashing nothing.
-        names = [f"x[{i},{j}]" + (f"^{e}" if e > 1 else "") for (i, j), e in items].__getitem__
+        names = [f"x[{i},{j}]" + (f"^{e}" if e > 1 else "") for (i, j), e in self._items].__getitem__
         pieces = []
-        for nums, coeff in pairs:
+        for nums, coeff in self._pairs:
             if not nums:
                 body = str(abs(coeff))
             else:
@@ -122,14 +121,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_string()})"
-
-
-def _number(terms: dict[Monomial, int]) -> tuple[list, list]:
-    """Number the (variable, exponent) items in sorted order; the monomials'
-    number tuples then sort as the monomials do."""
-    items = sorted({item for mono in terms for item in mono})
-    number = {item: k for k, item in enumerate(items)}
-    return items, sorted((tuple([number[item] for item in mono]), c) for mono, c in terms.items())
 
 
 @dataclass(frozen=True)
@@ -184,11 +175,11 @@ def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
     With top=True only the homogeneous component of maximal total degree is
     expanded: each column set also records its rows' best degree and keeps
     only the tight cells, those that reach it, and their completions.  The
-    result keeps the sorted variables and the sorted leaf number tuples with
-    their coefficients, renders its string from them, builds terms (in
-    sorted_terms() order) only on first read, and records its degree (-1
-    when no permutation survives), which is_zero(), degree() and top_term()
-    then read.  Its leaves must never merge, so top mode first checks that
+    leaves are the value's numbered form as they stand: the matrix's sorted
+    variables (a variable no top monomial uses is numbered but never named),
+    the sorted leaf number tuples with their coefficients, and the best
+    degree as both least and greatest degree (-1 when no permutation
+    survives).  Its leaves must never merge, so top mode first checks that
     no variable appears twice and no row holds two nonzero constants, and
     raises InternalError otherwise.
     """
@@ -258,22 +249,15 @@ def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
                 stack.append((sub, coeff * mult, nums + own))
     if top:
         # Squarefree monomials of one degree: sorting their numbers is sorted_terms() order.
-        return _value(None, best, ([(var, 1) for var in names], sorted(leaves.items())))
+        p = Polynomial.__new__(Polynomial)
+        p._items, p._pairs, p._terms = [(var, 1) for var in names], sorted(leaves.items()), None
+        p._low = p._high = best
+        return p
     terms = {}
     for key, c in leaves.items():
         if c:  # a run of one number in a sorted leaf is one variable and its exponent
             terms[tuple([(names[k], len(list(run))) for k, run in groupby(key)])] = c
-    return _value(terms)
-
-
-def _value(
-    terms: dict[Monomial, int] | None, top: int | None = None, numbered: tuple | None = None
-) -> Polynomial:
-    """A Polynomial on det's own nonzero terms, or on its top mode's numbers,
-    without __init__'s copy and filter."""
-    p = Polynomial.__new__(Polynomial)
-    p._terms, p._top, p._numbered = terms, top, numbered
-    return p
+    return Polynomial(terms)
 
 
 def _check_budget(held: int, size: int) -> None:

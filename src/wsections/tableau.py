@@ -56,11 +56,22 @@ class Composition:
 
     @classmethod
     def parse(cls, text: str) -> "Composition":
-        """Parse comma-separated positive decimal integers, e.g. "2,1,1,2"."""
+        """Parse comma-separated positive decimal integers, e.g. "2,1,1,2".
+
+        A part with more digits than MAX_N raises ResourceLimitError without
+        being converted: no tableau holds it, and a long enough digit string
+        cannot be converted to an int at all.
+        """
         pieces = [piece.strip() for piece in text.split(",")]
         if not all(piece.isascii() and piece.isdigit() for piece in pieces):
             raise InvalidInputError(f"cannot parse composition from {text!r}")
-        return cls(tuple(int(piece) for piece in pieces))
+        pieces = [piece.lstrip("0") or "0" for piece in pieces]
+        digits = max(map(len, pieces))
+        if digits > len(str(MAX_N)):
+            raise ResourceLimitError(
+                f"n = a number of at least {digits} digits exceeds the limit {MAX_N}"
+            )
+        return cls(tuple(map(int, pieces)))
 
     @property
     def n(self) -> int:
@@ -97,8 +108,11 @@ class Tableau:
     composition: Composition
 
     def __post_init__(self) -> None:
-        if self.composition.n > MAX_N:
-            raise ResourceLimitError(f"n = {self.composition.n} exceeds the limit {MAX_N}")
+        n = self.composition.n
+        if n > MAX_N:
+            # Past Python's int-to-str digit limit n cannot be formatted; name its size.
+            shown = n if n.bit_length() <= 64 else f"a number of {n.bit_length()} bits"
+            raise ResourceLimitError(f"n = {shown} exceeds the limit {MAX_N}")
 
     @property
     def n(self) -> int:

@@ -148,13 +148,13 @@ def _mono_lex_key_cmp(a: Monomial, b: Monomial) -> int:
     return 0
 
 
-def _leading(p: Polynomial) -> tuple[Monomial, int]:
+def _leading(terms: dict[Monomial, int]) -> tuple[Monomial, int]:
     lead = None
-    for m in p.terms:
+    for m in terms:
         if lead is None or _mono_lex_key_cmp(m, lead) > 0:
             lead = m
     assert lead is not None
-    return lead, p.terms[lead]
+    return lead, terms[lead]
 
 
 def divexact(f: Polynomial, g: Polynomial) -> Ring:
@@ -162,10 +162,10 @@ def divexact(f: Polynomial, g: Polynomial) -> Ring:
     if g.is_zero():
         raise InternalError("division by the zero polynomial")
     quotient: dict[Monomial, int] = {}
-    rem = lift(f)
-    mg, cg = _leading(g)
+    rem = dict(lift(f).terms)  # reduced in place: a Polynomial is numbered on every construction
+    mg, cg = _leading(g.terms)
     dg = dict(mg)
-    while not rem.is_zero():
+    while rem:
         mf, cf = _leading(rem)
         df = dict(mf)
         if cf % cg != 0 or any(df.get(v, 0) < e for v, e in dg.items()):
@@ -173,7 +173,12 @@ def divexact(f: Polynomial, g: Polynomial) -> Ring:
         qc = cf // cg
         qm = tuple(sorted((v, e - dg.get(v, 0)) for v, e in df.items() if e != dg.get(v, 0)))
         quotient[qm] = quotient.get(qm, 0) + qc
-        rem = rem - Ring({qm: qc}) * g
+        for m, c in (Ring({qm: qc}) * g).terms.items():
+            left = rem.get(m, 0) - c
+            if left:
+                rem[m] = left
+            else:
+                del rem[m]
     return Ring(quotient)
 
 

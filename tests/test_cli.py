@@ -72,7 +72,7 @@ class TestConstruct:
         assert not list(tmp_path.iterdir())
 
     def test_oversized_composition_exit_1(self, capsys, tmp_path):
-        for text in ("99999999999999999999", "10001"):
+        for text in ("99999999999999999999", "10001", "9" * 5000):
             for command in ("construct", "verify"):
                 code, _, err = run([command, "-c", text, "-o", str(tmp_path)], capsys)
                 assert code == 1 and err.startswith("error: n = ") and "limit" in err

@@ -194,6 +194,9 @@ class TestStep3:
             step3(ls2, last_stage=0)
         with pytest.raises(InvalidStateError):
             step3(ls2, last_stage=5)
+        for cap in (1.5, True, "2"):
+            with pytest.raises(InvalidInputError):
+                step3(ls2, last_stage=cap)
 
     def test_zero_count_preserved(self):
         for parts in compositions_upto(8):

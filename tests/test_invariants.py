@@ -57,23 +57,21 @@ def plus_minus(p, q):
 class TestBuildMinor:
     def test_inner_pair_2112_is_1x1(self):
         ms = build_minor(T(2, 1, 1, 2), NeighborPair(2, 3, 1))
-        assert ms.size == 1 and ms.degree == 1 and ms.translated == ()
+        assert ms.size == 1 and ms.degree == 1
         assert det(ms.matrix) == X(3, 4)
 
     def test_quadratic_pair_1221(self):
         ms = build_minor(T(1, 2, 2, 1), NeighborPair(2, 3, 2))
         assert ms.matrix.rows == (((2, 4), (2, 5)), ((3, 4), (3, 5)))
-        assert ms.translated == ()
 
     def test_outer_pair_2112(self):
         ms = build_minor(T(2, 1, 1, 2), NeighborPair(1, 4, 2))
-        assert ms.size == 4 and ms.degree == 4 and ms.translated == ()
+        assert ms.size == 4 and ms.degree == 4
         assert ms.matrix.rows[0] == ((1, 3), (1, 4), (1, 5), (1, 6))
 
     def test_translated_diagonal_131(self):
         ms = build_minor(T(1, 3, 1), NeighborPair(1, 3, 1))
         assert ms.size == 4 and ms.degree == 2
-        assert ms.translated == (3, 4)
         # diagonal ones at every shared row/column index, variables in m, 0 below
         assert ms.matrix.rows[1][0] == 1  # position (2, 2)
         assert ms.matrix.rows[2][1] == 1  # position (3, 3)
@@ -82,20 +80,20 @@ class TestBuildMinor:
 
     def test_translated_is_a_count_not_a_set_121(self):
         ms = build_minor(T(1, 2, 1), NeighborPair(1, 3, 1))
-        assert ms.translated == (3,) and ms.size - ms.degree == 1
+        assert ms.size - ms.degree == 1
         assert generic_invariant(ms).to_string() == "-x[1,2]*x[2,4] - x[1,3]*x[3,4]"
-        # x[1,3]*x[3,4] takes the 1 at (2,2), not the 1 at (3,3) that translated names.
+        # x[1,3]*x[3,4] takes the 1 at (2,2), not the 1 at (3,3) in the row of box 3,
+        # the one box between the pair below row 1.
         assert ms.matrix.rows[1][0] == ms.matrix.rows[2][1] == 1
 
     def test_bookkeeping_size_minus_degree(self):
-        # Every top monomial takes size - degree diagonal ones, so that is
-        # the count translated must have.
+        # Every top monomial takes size - degree diagonal ones.
         for parts in compositions_upto(8):
             t = T(*parts)
             for pair in t.neighboring_pairs:
                 ms = build_minor(t, pair)
                 observed = generic_invariant(ms, ms.size).degree()
-                assert len(ms.translated) == ms.size - ms.degree == ms.size - observed
+                assert ms.size - ms.degree == ms.size - observed
 
     def test_rejects_non_neighboring(self):
         with pytest.raises(InvalidInputError):
@@ -132,7 +130,6 @@ class TestMinorsAgainstDenseOracles:
             t = T(*parts)
             for pair in t.neighboring_pairs:
                 ms = build_minor(t, pair)
-                assert ms.offset == t.composition.prefix(pair.v)
                 assert ms.matrix.rows == dense_minor_matrix(t, pair.v, pair.v_prime, pair.s).rows
 
     def test_step2_and_step3_sections(self, monkeypatch):
@@ -438,6 +435,13 @@ class TestGenericInvariant:
             with pytest.raises(InvalidInputError):
                 det_size_bound(bound)
         assert det_size_bound(1) == 1
+
+    def test_generic_invariant_resolves_its_bound(self):
+        ms = build_minor(T(2, 1, 1, 2), NeighborPair(2, 3, 1))
+        for bound in ("8", True, 1.5, 0, -3):
+            with pytest.raises(InvalidInputError):
+                generic_invariant(ms, bound)
+        assert generic_invariant(ms, 1) == generic_invariant(ms, None) == X(3, 4)
 
     def test_matches_permutation_oracle(self):
         for parts in [(2, 1, 1, 2), (1, 2, 2, 1), (2, 3, 2)]:

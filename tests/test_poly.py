@@ -24,7 +24,8 @@ from wsections.errors import (
     ResourceLimitError,
     UndefinedGradingError,
 )
-from wsections.invariants import build_minor
+from wsections.construction import extract_section, step1, step2, step3
+from wsections.invariants import build_minor, restrict_to_E, restrict_to_section
 from wsections.poly import Polynomial, SymbolicMatrix, det
 from wsections.tableau import Composition, Tableau
 
@@ -135,6 +136,18 @@ def top_values():
         yield det(m, top=True)
 
 
+def full_values():
+    """det's full mode on every restriction and nilfibre minor with n <= 8,
+    specialised on the step-3 section."""
+    for parts in compositions_upto(8):
+        t = Tableau(Composition(parts))
+        sec = extract_section(step3(step2(step1(t))))
+        for pair in t.neighboring_pairs:
+            ms = build_minor(t, pair)
+            yield restrict_to_section(ms, sec)
+            yield restrict_to_E(ms, sec)
+
+
 class TestArithmetic:
     def test_zero_and_const(self):
         assert Polynomial().is_zero() and Polynomial() == 0
@@ -212,6 +225,22 @@ class TestTopTerm:
         assert Polynomial().degree() == -1
         assert lift(7).degree() == 0
         assert (X(1, 2) * X(1, 2) + X(3, 4)).degree() == 2
+
+    @given(polynomials(max_terms=6, max_vars=4, max_exp=3, max_coeff=9))
+    @settings(max_examples=200)
+    def test_readings_match_an_oracle_over_terms(self, p):
+        # The numbered form's readings against ones computed from the terms dict.
+        degrees = {m: sum(e for _, e in m) for m in p.terms}
+        assert p.sorted_terms() == sorted(p.terms.items())
+        assert p.is_zero() == (not p.terms)
+        assert p.degree() == max(degrees.values(), default=-1)
+        assert p.to_string() == to_string_fstrings(p)
+        if not p.terms:
+            with pytest.raises(UndefinedGradingError):
+                p.top_term()
+        else:
+            best = max(degrees.values())
+            assert p.top_term().terms == {m: c for m, c in p.terms.items() if degrees[m] == best}
 
 
 class TestToString:
@@ -388,9 +417,9 @@ class TestDet:
             assert list(p.terms.items()) == p.sorted_terms()
 
     def test_top_mode_degree_and_top_term_match_a_fresh_value(self):
-        # A top-mode value renders and grades from its variable numbers; only
-        # reading terms builds the monomial dict.
-        for p in top_values():
+        # A value of either mode renders and grades from its numbered form;
+        # only reading terms builds the monomial dict.
+        for p in [*top_values(), *full_values()]:
             text, degree, zero = p.to_string(), p.degree(), p.is_zero()
             top = None if zero else p.top_term()
             assert p._terms is None  # no read above built the monomial dict

@@ -9,7 +9,7 @@ from helpers import (
     in_nilradical,
     nilradical_by_definition,
 )
-from wsections.errors import InvalidInputError
+from wsections.errors import InvalidInputError, ResourceLimitError
 from wsections.tableau import (
     Composition,
     MatrixUnit,
@@ -40,6 +40,15 @@ class TestComposition:
     def test_parse_rejects(self, bad):
         with pytest.raises(InvalidInputError):
             Composition.parse(bad)
+
+    def test_parts_too_long_to_convert_exceed_the_limit(self):
+        # 5000 digits is past Python's default int <-> str digit limit; neither path converts it.
+        for text in ("9" * 5000, "1," + "0" * 4999 + "1" * 5000):
+            with pytest.raises(ResourceLimitError, match="limit"):
+                Composition.parse(text)
+        with pytest.raises(ResourceLimitError, match="limit"):
+            Tableau(Composition((10**5000,)))
+        assert Composition.parse("0" * 5000 + "3").parts == (3,)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
