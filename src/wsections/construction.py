@@ -58,6 +58,9 @@ class Line:
     gate_stage: int | None = None  # the row stage that gated it, if any
 
     def __post_init__(self) -> None:
+        gate = 0 if self.gate_stage is None else self.gate_stage
+        if any(x.__class__ is not int for x in (self.i, self.j, self.label, self.stage, gate)):
+            raise InvalidInputError(f"line fields must be ints, got {self!r}")
         if self.label not in (0, 1):
             raise InternalError(f"line label must be 0 or 1, got {self.label}")
         if self.gated and self.label != 0:

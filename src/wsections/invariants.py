@@ -97,19 +97,15 @@ def restrict_to_section(ms: MinorSpec, sec: Section) -> Polynomial:
 
 
 def section_coordinate(ms: MinorSpec, sec: Section) -> tuple[int, MatrixUnit]:
-    """The (sign, coordinate) a well-formed section restriction collapses to."""
+    """The (sign, coordinate) a well-formed section restriction collapses to:
+    one term of degree 1 (det's values are squarefree), coefficient +-1, in V."""
     p = restrict_to_section(ms, sec)
     terms = p.sorted_terms()
-    if len(terms) != 1:
+    if len(terms) != 1 or len(terms[0][0]) != 1 or terms[0][1] not in (1, -1):
         raise SectionDefectError(
             f"pair ({ms.pair.v}, {ms.pair.v_prime}) restricts to {p}, not one coordinate"
         )
-    mono, coeff = terms[0]
-    if coeff not in (1, -1) or len(mono) != 1 or mono[0][1] != 1:
-        raise SectionDefectError(
-            f"pair ({ms.pair.v}, {ms.pair.v_prime}) restricts to {p}, not one coordinate"
-        )
-    (i, j), _ = mono[0]
+    (((i, j), _),), coeff = terms[0]
     unit = MatrixUnit(i, j)
     if unit not in set(sec.v):
         raise SectionDefectError(f"restriction {p} is not a coordinate of V")

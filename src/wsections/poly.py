@@ -1,14 +1,16 @@
 """The exact determinant engine and the polynomial value it returns.
 
 Variables are 1-based index pairs (i, j) standing for the coordinate x[i,j];
-a monomial is a tuple of ((i, j), exponent) items sorted by variable, and a
+a monomial is a tuple of ((i, j), 1) items sorted by variable, and a
 Polynomial maps monomials to nonzero arbitrary-precision integer
-coefficients.  The zero polynomial is the empty mapping.  A Polynomial is a
-value to read (terms, degree, top term, string); nothing here adds or
-multiplies two of them.  It holds one form, whoever builds it: the sorted
-items, each monomial as the tuple of its items' numbers with its
-coefficient, in sorted order, and the least and greatest degree.  Nothing
-here is floating point and nothing truncates: exactness is the contract.
+coefficients.  The zero polynomial is the empty mapping.  det accepts only
+matrices whose variables are distinct, so every value is squarefree.  A
+Polynomial is a value to read (terms, degree, top term, string) that only
+det builds; nothing here adds or multiplies two of them.  It holds one form:
+the matrix's sorted variables, each monomial as the sorted tuple of its
+variables' numbers with its coefficient, in sorted order, and the least and
+greatest degree (a tuple's length).  Nothing here is floating point and
+nothing truncates: exactness is the contract.
 
 Determinants of matrices whose entries are integers or single variables have
 one engine at every size and in both modes: a sparse Laplace expansion
@@ -18,17 +20,14 @@ those cells whose leaves are the permutations' signed monomials.  Full mode
 keeps every cell and sums the leaves that share a monomial.  Top mode, which
 the generic invariants use, keeps only the cells of top degree, and its
 leaves never merge: it is exact when no two permutations share a monomial,
-which it checks first, and it fills the value's form from its walk
-directly; full mode hands its summed terms to the constructor.
+which it checks first.  Both modes fill the value's form from their leaves.
 A determinant whose column sets and completions would outgrow MEMO_BUDGET
 raises ResourceLimitError rather than exhaust memory.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 from .errors import InternalError, InvalidInputError, ResourceLimitError, UndefinedGradingError
 
@@ -37,37 +36,27 @@ Monomial = tuple[tuple[Var, int], ...]
 Entry = Union[int, Var]
 
 _ONE: Monomial = ()
-_EXPONENT = itemgetter(1)
 
 
 class Polynomial:
-    """Sparse integer polynomial in x[i,j] variables, read but never combined.
+    """Squarefree integer polynomial in x[i,j] variables, read but never combined.
 
-    A value has one form: its sorted (variable, exponent) items, the number
-    tuple of each monomial over those items with its coefficient, sorted
-    (numbers sort as the items do, so this is sorted_terms() order), and its
-    least and greatest degree.  The constructor numbers the terms it is
-    given; det's top mode fills the form directly.  is_zero(), degree() and
-    a homogeneous value's top_term() read the degrees, to_string() renders
-    from the numbers, and terms builds the monomial dict on first read and
-    keeps it."""
+    One form: the sorted variables, each monomial's number tuple over them
+    with its coefficient, sorted (numbers sort as the variables do, so this
+    is sorted_terms() order), and the least and greatest degree.  Only det
+    builds one; there is no public constructor.  Every reading but terms
+    uses the form alone; terms builds the monomial dict once and keeps it."""
 
-    __slots__ = ("_items", "_pairs", "_low", "_high", "_terms")
+    __slots__ = ("_vars", "_pairs", "_low", "_high", "_terms")
 
-    def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        terms = [(mono, c) for mono, c in (terms or {}).items() if c != 0]
-        self._items = items = sorted({item for mono, _ in terms for item in mono})
-        number = dict(zip(items, range(len(items)))).__getitem__
-        self._pairs = sorted([(tuple(map(number, mono)), c) for mono, c in terms])
-        degrees = [sum(map(_EXPONENT, mono)) for mono, _ in terms] or [-1]
-        self._low, self._high = min(degrees), max(degrees)
-        self._terms: dict[Monomial, int] | None = None
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a Polynomial is built only by det")
 
     @property
     def terms(self) -> dict[Monomial, int]:
         """The monomial -> coefficient dict, in sorted_terms() order; built on first read."""
         if self._terms is None:
-            items = self._items
+            items = [(var, 1) for var in self._vars]
             self._terms = {tuple([items[k] for k in nums]): c for nums, c in self._pairs}
         return self._terms
 
@@ -82,7 +71,7 @@ class Polynomial:
         return NotImplemented
 
     def degree(self) -> int:
-        """Maximal total exponent; -1 for the zero polynomial."""
+        """Maximal total degree; -1 for the zero polynomial."""
         return self._high
 
     def top_term(self) -> "Polynomial":
@@ -91,8 +80,8 @@ class Polynomial:
             raise UndefinedGradingError("the zero polynomial has no top term")
         if self._low == self._high:
             return self  # already homogeneous; a Polynomial is never changed
-        best = self._high
-        return Polynomial({m: c for m, c in self.terms.items() if sum(map(_EXPONENT, m)) == best})
+        high = self._high
+        return _value(self._vars, [p for p in self._pairs if len(p[0]) == high], high, high)
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         return list(self.terms.items())
@@ -100,8 +89,8 @@ class Polynomial:
     def to_string(self) -> str:
         if not self._pairs:
             return "0"
-        # Each item is named once; a monomial joins its names by number, hashing nothing.
-        names = [f"x[{i},{j}]" + (f"^{e}" if e > 1 else "") for (i, j), e in self._items].__getitem__
+        # Each variable is named once; a monomial joins its names by number, hashing nothing.
+        names = [f"x[{i},{j}]" for i, j in self._vars].__getitem__
         pieces = []
         for nums, coeff in self._pairs:
             if not nums:
@@ -116,11 +105,20 @@ class Polynomial:
                 pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
         return " ".join(pieces)
 
-    def __str__(self) -> str:
-        return self.to_string()
+    __str__ = to_string
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_string()})"
+
+
+def _value(
+    names: list[Var], pairs: list[tuple[tuple[int, ...], int]], low: int, high: int
+) -> Polynomial:
+    """The Polynomial of one form: sorted variables, sorted nonzero (number
+    tuple, coefficient) pairs, least and greatest degree (-1 for zero)."""
+    p = Polynomial.__new__(Polynomial)
+    p._vars, p._pairs, p._low, p._high, p._terms = names, pairs, low, high, None
+    return p
 
 
 @dataclass(frozen=True)
@@ -167,29 +165,34 @@ def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
     Raises ResourceLimitError once the column sets and completions tabulated
     for this determinant exceed MEMO_BUDGET.
 
+    The matrix's variables must be distinct, so every monomial is
+    squarefree; a repeated variable raises InvalidInputError in either mode.
+    Both modes fill one numbered form: the matrix's sorted variables (one no
+    monomial uses is numbered but never named), the sorted leaf number
+    tuples with their nonzero coefficients, and the least and greatest leaf
+    length as the degrees (-1 when no term survives).
+
     Full mode keeps every cell with a completion, so the completions count
-    permutations.  Leaves that share a monomial are summed, zeros dropped,
-    and a variable a leaf meets k times gets exponent k: cancellation and
-    powers stay exact.
+    permutations.  Leaves that share a monomial are summed and zeros
+    dropped: cancellation stays exact.
 
     With top=True only the homogeneous component of maximal total degree is
     expanded: each column set also records its rows' best degree and keeps
-    only the tight cells, those that reach it, and their completions.  The
-    leaves are the value's numbered form as they stand: the matrix's sorted
-    variables (a variable no top monomial uses is numbered but never named),
-    the sorted leaf number tuples with their coefficients, and the best
-    degree as both least and greatest degree (-1 when no permutation
-    survives).  Its leaves must never merge, so top mode first checks that
-    no variable appears twice and no row holds two nonzero constants, and
-    raises InternalError otherwise.
+    only the tight cells, those that reach it, and their completions.  Its
+    leaves must never merge, so top mode first checks that no row holds two
+    nonzero constants, and raises InternalError otherwise.
     """
     m = matrix.size
     nonzero = [[(c, cell) for c, cell in enumerate(row) if cell != 0] for row in matrix.rows]
-    if top:
-        # Each variable, and each row's nonzero constant, may occur once.
-        keys = [r if isinstance(x, int) else x for r, row in enumerate(nonzero) for _, x in row]
-        if len(set(keys)) < len(keys):
-            raise InternalError("top mode: a variable repeats or a row holds two constants")
+    # Number the variables in sorted order: a leaf sorts small ints, and the
+    # numbers sort as the variables do.
+    variables = [cell for row in nonzero for _, cell in row if cell.__class__ is not int]
+    names = sorted(set(variables))
+    if len(names) < len(variables):
+        raise InvalidInputError("a variable repeats in the matrix")
+    if top and any(sum(cell.__class__ is int for _, cell in row) > 1 for row in nonzero):
+        raise InternalError("top mode: a row holds two nonzero constants")
+    number = dict(zip(names, range(len(names))))
     order = sorted(range(m), key=lambda r: (len(nonzero[r]), r))
     rows = [nonzero[r] for r in order]
     free = [{(1 << m) - 1}]
@@ -198,10 +201,6 @@ def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
         free.append({mask ^ 1 << c for mask in free[-1] for c, _ in row if mask >> c & 1})
         held += len(free[-1])
         _check_budget(held, m)
-    # Number the variables in sorted order: a leaf sorts small ints, and the
-    # numbers sort as the variables do.
-    names = sorted({cell for row in rows for _, cell in row if not isinstance(cell, int)})
-    number = dict(zip(names, range(len(names))))
     # reach[mask]: (best degree of the rows below on mask, completions reaching it,
     # cells (the cells to follow next or None at the end, multiplier, numbers)).
     # A variable raises the degree in top mode only, so full mode keeps every cell.
@@ -247,17 +246,12 @@ def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
                 leaves[key] = leaves.get(key, 0) + coeff * mult
             else:
                 stack.append((sub, coeff * mult, nums + own))
-    if top:
-        # Squarefree monomials of one degree: sorting their numbers is sorted_terms() order.
-        p = Polynomial.__new__(Polynomial)
-        p._items, p._pairs, p._terms = [(var, 1) for var in names], sorted(leaves.items()), None
-        p._low = p._high = best
-        return p
-    terms = {}
-    for key, c in leaves.items():
-        if c:  # a run of one number in a sorted leaf is one variable and its exponent
-            terms[tuple([(names[k], len(list(run))) for k, run in groupby(key)])] = c
-    return Polynomial(terms)
+    # Squarefree leaves: sorting their number tuples is sorted_terms() order.
+    if top:  # top leaves never merge, so none is zero, and all have the best degree
+        return _value(names, sorted(leaves.items()), best, best)
+    pairs = sorted((k, c) for k, c in leaves.items() if c)
+    degrees = [len(k) for k, _ in pairs] or [-1]
+    return _value(names, pairs, min(degrees), max(degrees))
 
 
 def _check_budget(held: int, size: int) -> None:

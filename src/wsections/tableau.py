@@ -29,8 +29,9 @@ class MatrixUnit:
     j: int
 
     def __post_init__(self) -> None:
-        if self.i < 1 or self.j < 1 or self.i == self.j:
-            raise InvalidInputError(f"bad matrix unit ({self.i}, {self.j})")
+        i, j = self.i, self.j
+        if not (i.__class__ is j.__class__ is int) or i < 1 or j < 1 or i == j:
+            raise InvalidInputError(f"bad matrix unit ({i!r}, {j!r})")
 
     @property
     def key(self) -> tuple[int, int]:
@@ -47,12 +48,16 @@ class Composition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.parts:
+        try:
+            parts = tuple(self.parts)
+        except TypeError:
+            raise InvalidInputError(f"composition is not iterable: {self.parts!r}") from None
+        if not parts:
             raise InvalidInputError("composition must have at least one part")
-        for p in self.parts:
-            if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+        for p in parts:
+            if p.__class__ is not int or p < 1:
                 raise InvalidInputError(f"composition parts must be positive integers, got {p!r}")
-        object.__setattr__(self, "parts", tuple(self.parts))
+        object.__setattr__(self, "parts", parts)
 
     @classmethod
     def parse(cls, text: str) -> "Composition":

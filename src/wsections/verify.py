@@ -188,7 +188,7 @@ def verify_composition(parts: tuple[int, ...], det_bound: int | None = None) -> 
     Pure and deterministic.  A generic determinant above the size bound is
     recorded under "skipped", never as a failure.
     """
-    comp = Composition(tuple(parts))
+    comp = Composition(parts)
     t = Tableau(comp)
     pairs = t.neighboring_pairs
     g = len(pairs)

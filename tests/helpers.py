@@ -10,8 +10,9 @@ recursion on the first part, orbit tangent
 spaces by bracketing every basis matrix of p with every unit of the point,
 the nilradical by testing all n^2 positions, minors and their
 specialisations cell by cell from column_of, polynomial strings by one
-f-string per factor.  The package's Polynomial is a value only; Ring adds
-the arithmetic these oracles and the tests need.
+f-string per factor.  The package's Polynomial is a value only, built by
+det; Ring is a polynomial of its own, on a plain dict, with the arithmetic
+these oracles and the tests need.
 """
 from __future__ import annotations
 
@@ -20,14 +21,47 @@ from fractions import Fraction
 from itertools import permutations
 
 from wsections.construction import Line
-from wsections.errors import InternalError, InvalidInputError
-from wsections.poly import Monomial, Polynomial, SymbolicMatrix
+from wsections.errors import InternalError, InvalidInputError, UndefinedGradingError
+from wsections.poly import Monomial, SymbolicMatrix
 
 
-class Ring(Polynomial):
-    """A Polynomial with the ring arithmetic the oracles below use."""
+def _degree(mono: Monomial) -> int:
+    return sum(e for _, e in mono)
 
-    __slots__ = ()
+
+class Ring:
+    """A polynomial as a plain {monomial: nonzero coefficient} dict, with ring
+    arithmetic and the readings the oracles compare: terms, is_zero, degree
+    and top_term.  Its monomials may carry exponents.  It equals an int
+    constant, or anything whose terms dict is the same, a det value included.
+    """
+
+    __slots__ = ("terms",)
+    __hash__ = None
+
+    def __init__(self, terms=None):
+        self.terms = {m: c for m, c in (terms or {}).items() if c}
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def degree(self) -> int:
+        return max(map(_degree, self.terms), default=-1)
+
+    def top_term(self) -> "Ring":
+        if not self.terms:
+            raise UndefinedGradingError("the zero polynomial has no top term")
+        best = self.degree()
+        return Ring({m: c for m, c in self.terms.items() if _degree(m) == best})
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            return self.terms == ({(): other} if other else {})
+        terms = getattr(other, "terms", None)
+        return NotImplemented if terms is None else self.terms == terms
+
+    def __repr__(self) -> str:
+        return f"Ring({to_string_fstrings(self)})"
 
     def __neg__(self) -> "Ring":
         return Ring({m: -c for m, c in self.terms.items()})
@@ -57,8 +91,11 @@ class Ring(Polynomial):
     __rmul__ = __mul__
 
 
-def lift(p: "Polynomial | int") -> Ring:
-    """p as a Ring element; an int is a constant."""
+def lift(p) -> Ring:
+    """p as a Ring element: an int is a constant, a Ring stays, anything else
+    with a terms dict (a det value) is copied."""
+    if isinstance(p, Ring):
+        return p
     return Ring({(): p}) if isinstance(p, int) else Ring(p.terms)
 
 
@@ -72,17 +109,22 @@ def _entry(cell) -> Ring:
 
 
 def det_permutation_expansion(matrix: SymbolicMatrix) -> Ring:
-    """Sum over all permutations of signed entry products."""
-    total = lift(0)
+    """Sum over all permutations of signed entry products, each product one
+    coefficient and one monomial, counting a variable's occurrences."""
+    terms: dict[Monomial, int] = {}
     for perm in permutations(range(matrix.size)):
         cells = [row[c] for row, c in zip(matrix.rows, perm)]
         if 0 in cells:
             continue
-        product = lift(_perm_sign(perm))
+        coeff, powers = _perm_sign(perm), {}
         for cell in cells:
-            product = product * _entry(cell)
-        total = total + product
-    return total
+            if isinstance(cell, int):
+                coeff *= cell
+            else:
+                powers[cell] = powers.get(cell, 0) + 1
+        mono = tuple(sorted(powers.items()))
+        terms[mono] = terms.get(mono, 0) + coeff
+    return Ring(terms)
 
 
 def _perm_sign(perm) -> int:
@@ -157,12 +199,12 @@ def _leading(terms: dict[Monomial, int]) -> tuple[Monomial, int]:
     return lead, terms[lead]
 
 
-def divexact(f: Polynomial, g: Polynomial) -> Ring:
+def divexact(f, g) -> Ring:
     """Exact quotient f / g; raises InternalError when g does not divide f."""
     if g.is_zero():
         raise InternalError("division by the zero polynomial")
     quotient: dict[Monomial, int] = {}
-    rem = dict(lift(f).terms)  # reduced in place: a Polynomial is numbered on every construction
+    rem = dict(lift(f).terms)  # reduced in place
     mg, cg = _leading(g.terms)
     dg = dict(mg)
     while rem:
@@ -182,7 +224,7 @@ def divexact(f: Polynomial, g: Polynomial) -> Ring:
     return Ring(quotient)
 
 
-def to_string_fstrings(p: Polynomial) -> str:
+def to_string_fstrings(p) -> str:
     """The renderer's reference: one f-string per factor, no name reuse."""
     if not p.terms:
         return "0"
@@ -379,7 +421,7 @@ def ungated_zero_lines(ls):
     return tuple(ln for ln in ls.lines if ln.label == 0 and not ln.gated)
 
 
-def substitute(p: Polynomial, assignment) -> Ring:
+def substitute(p, assignment) -> Ring:
     """Exact substitution of integers or variables into p; others persist."""
     out = lift(0)
     for mono, coeff in p.terms.items():

@@ -359,6 +359,22 @@ class TestSection:
         with pytest.raises(InvalidStateError):
             extract_section(step1(T(2, 2)))
 
+    def test_non_int_line_fields_rejected(self):
+        # label=True used to pass and be written as "label": true; 1.0 and
+        # stage=1.5 were kept, and a LineSet of Line("1", 3) ended in TypeError.
+        for args, kwargs in (
+            ((1, 3), {"label": True}),
+            ((1, 3), {"label": 1.0}),
+            ((1, 3), {"stage": 1.5}),
+            ((1, 3, 0), {"gate_stage": True}),
+            (("1", 3), {}),
+            ((None, 3), {}),
+            ((1, 3.0), {}),
+        ):
+            with pytest.raises(InvalidInputError):
+                Line(*args, **kwargs)
+        assert Line(1, 3, 0, 2, 1).gated and not Line(1, 3, 0, 2).gated
+
     def test_lines_outside_the_nilradical_rejected(self):
         # These used to be accepted: (1, 9) then ended in KeyError in
         # grading_element and IndexError here, and (2, 1) was graded.

@@ -4,6 +4,7 @@ import pytest
 
 from helpers import (
     HEAVY_COMPOSITIONS,
+    Ring,
     X,
     compositions_upto,
     count_perfect_matchings,
@@ -32,7 +33,7 @@ from wsections.invariants import (
     restrict_to_section,
     section_coordinate,
 )
-from wsections.poly import Polynomial, det
+from wsections.poly import SymbolicMatrix, det
 from wsections.tableau import (
     Composition,
     MatrixUnit,
@@ -239,6 +240,33 @@ class TestRestrictToSection:
                     assert restrict_to_section(ms, sec) == substitute(generic, kept)
                 assert restrict_to_E(ms, sec3) == substitute(generic, on_e) == 0
 
+    def test_every_battery_matrix_has_distinct_variables(self, monkeypatch):
+        # det's values are squarefree only because no matrix the battery
+        # builds repeats a variable: read the cells of every generic,
+        # restriction and nilfibre matrix with n <= 10 and of the heavy set.
+        matrices = []
+        zero = det(SymbolicMatrix(((0,),)))
+
+        def record(matrix, *, top=False):
+            matrices.append(matrix)
+            return zero
+
+        monkeypatch.setattr(invariants, "det", record)
+        for parts in [*compositions_upto(10), *HEAVY_COMPOSITIONS]:
+            t = T(*parts)
+            sec = section_of(t)
+            for pair in t.neighboring_pairs:
+                ms = build_minor(t, pair)
+                matrices.append(ms.matrix)
+                restrict_to_section(ms, sec)
+                restrict_to_E(ms, sec)
+        for matrix in matrices:
+            cells = [cell for row in matrix.rows for cell in row if cell.__class__ is tuple]
+            assert len(set(cells)) == len(cells)
+        assert len(matrices) == 3 * sum(
+            len(T(*parts).neighboring_pairs) for parts in [*compositions_upto(10), *HEAVY_COMPOSITIONS]
+        )
+
     def test_heavy_substituted_minors_match_fraction_free(self, monkeypatch):
         # The restriction and nilfibre minors of the heavy compositions reach
         # size 22, beyond the permutation oracle.  det hands its own dict to
@@ -385,7 +413,7 @@ class TestGenericInvariant:
             for pair in t.neighboring_pairs:
                 p = det(build_minor(t, pair).matrix, top=True)
                 assert list(p.terms.items()) == p.sorted_terms()
-                fresh = Polynomial(p.terms)
+                fresh = Ring(p.terms)
                 assert p.degree() == fresh.degree() == bs_degree(t, pair)
                 assert p.top_term() == fresh.top_term()
 

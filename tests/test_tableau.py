@@ -59,6 +59,12 @@ class TestComposition:
         with pytest.raises(InvalidInputError):
             Composition(bad)
 
+    @pytest.mark.parametrize("bad", [5, True, 1.5, -1, None])
+    def test_raw_values_rejected(self, bad):
+        # A bare value used to end in "'int' object is not iterable".
+        with pytest.raises(InvalidInputError):
+            Composition(bad)
+
     def test_prefix(self):
         c = Composition((2, 1, 1, 2))
         assert [c.prefix(v) for v in range(1, 5)] == [0, 2, 3, 4]
@@ -145,6 +151,12 @@ class TestNilradical:
             MatrixUnit(2, 2)
         with pytest.raises(InvalidInputError):
             MatrixUnit(0, 1)
+
+    def test_non_int_indices_rejected(self):
+        # MatrixUnit(True, 3) used to print as x[True,3]; 1.5 was kept.
+        for i, j in ((True, 3), (1, True), (1.5, 2), (1, 2.0), ("1", 2), (None, 2)):
+            with pytest.raises(InvalidInputError):
+                MatrixUnit(i, j)
 
     def test_basis_goldens(self):
         assert len(nilradical_basis(T(2, 1, 1, 2))) == 13

@@ -549,6 +549,12 @@ class TestBattery:
         text = json.dumps(reports, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == self.LARGE_INVARIANT_DIGEST
 
+    def test_raw_values_rejected(self):
+        # Both used to end in "'... object is not iterable".
+        for bad in (None, 5):
+            with pytest.raises(InvalidInputError):
+                verify_composition(bad)
+
     def test_bools_are_not_integers(self):
         with pytest.raises(InvalidInputError):
             verify_composition((True, 1, 1, True))
