@@ -62,9 +62,9 @@ class Line:
         if any(x.__class__ is not int for x in (self.i, self.j, self.label, self.stage, gate)):
             raise InvalidInputError(f"line fields must be ints, got {self!r}")
         if self.label not in (0, 1):
-            raise InternalError(f"line label must be 0 or 1, got {self.label}")
+            raise InvalidInputError(f"line label must be 0 or 1, got {self.label}")
         if self.gated and self.label != 0:
-            raise InternalError("only 0-labelled lines can be gated")
+            raise InvalidInputError("only 0-labelled lines can be gated")
 
     @property
     def gated(self) -> bool:
@@ -95,7 +95,7 @@ class LineSet:
             if not (1 <= ln.i <= n and 1 <= ln.j <= n and col[ln.i] < col[ln.j]):
                 raise InvalidInputError(f"line {ln.key} leaves the nilradical")
         if len({ln.key for ln in self.lines}) != len(self.lines):
-            raise InternalError("two lines join the same ordered pair of boxes")
+            raise InvalidInputError("two lines join the same ordered pair of boxes")
 
     @cached_property
     def line_map(self) -> dict[tuple[int, int], Line]:
@@ -130,14 +130,13 @@ class Section:
 
     def __post_init__(self) -> None:
         if set(self.e) & set(self.v):
-            raise InternalError("section with overlapping e and V")
+            raise InvalidInputError("section with overlapping e and V")
 
 
 @dataclass(frozen=True)
 class CompositeFamily:
     """The unique disjoint composite-line cover between a neighboring pair."""
 
-    sigma: tuple[int, ...]  # path starting in row k ends in row sigma[k-1]
     paths: tuple[tuple[int, ...], ...]  # box entries, ordered by starting row
 
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -322,10 +321,11 @@ def _cover(starts, targets_of) -> tuple[int, dict[int, int]]:
 def verify_P1(ls: LineSet, pair: NeighborPair) -> CompositeFamily:
     """The unique family of s disjoint composite lines crossing the pair.
 
-    The family must cover every box of rows 1..s between the two columns,
-    moving strictly left to right from the left column to the right one.
-    Lines gated at row stages <= s are excluded; a gate applied at a later
-    stage still serves this pair.
+    The family covers every box of rows 1..s between the two columns,
+    moving strictly left to right: it is the unique cover matching each
+    such box outside the right column to a successor outside the left one,
+    walked from each box of the left column.  Lines gated at row stages <= s
+    are excluded; a gate applied at a later stage still serves this pair.
     """
     t = ls.tableau
     require_neighboring(t, pair)
@@ -347,19 +347,16 @@ def verify_P1(ls: LineSet, pair: NeighborPair) -> CompositeFamily:
     if count > 1:
         raise P1UniquenessError(f"multiple composite families for pair ({v}, {vp})")
 
+    # successor matches region - sinks onto region - sources, and every line
+    # moves strictly right, so each source's chain ends at a sink and every
+    # region box lies on exactly one chain.
     paths = []
     for source in sources:
         path = [source]
         while path[-1] in successor:
             path.append(successor[path[-1]])
-        if path[-1] not in sinks:
-            raise InternalError("composite line did not reach the right column")
         paths.append(tuple(path))
-    covered = {e for path in paths for e in path}
-    if covered != region:
-        raise InternalError("composite family misses boxes of the region")
-    sigma = tuple(t.entry_row[path[-1]] for path in paths)
-    return CompositeFamily(sigma=sigma, paths=tuple(paths))
+    return CompositeFamily(paths=tuple(paths))
 
 
 def verify_P2(ls: LineSet, family: CompositeFamily) -> bool:

@@ -98,7 +98,8 @@ def restrict_to_section(ms: MinorSpec, sec: Section) -> Polynomial:
 
 def section_coordinate(ms: MinorSpec, sec: Section) -> tuple[int, MatrixUnit]:
     """The (sign, coordinate) a well-formed section restriction collapses to:
-    one term of degree 1 (det's values are squarefree), coefficient +-1, in V."""
+    one term of degree 1 (det's values are squarefree), coefficient +-1.  Only
+    V's cells stay symbolic, so that variable is a coordinate of V."""
     p = restrict_to_section(ms, sec)
     terms = p.sorted_terms()
     if len(terms) != 1 or len(terms[0][0]) != 1 or terms[0][1] not in (1, -1):
@@ -106,10 +107,7 @@ def section_coordinate(ms: MinorSpec, sec: Section) -> tuple[int, MatrixUnit]:
             f"pair ({ms.pair.v}, {ms.pair.v_prime}) restricts to {p}, not one coordinate"
         )
     (((i, j), _),), coeff = terms[0]
-    unit = MatrixUnit(i, j)
-    if unit not in set(sec.v):
-        raise SectionDefectError(f"restriction {p} is not a coordinate of V")
-    return coeff, unit
+    return coeff, MatrixUnit(i, j)
 
 
 def restrict_to_E(ms: MinorSpec, sec: Section) -> Polynomial:

@@ -1,39 +1,35 @@
 """Exact integer linear algebra: the rank over Q and unit-difference systems.
 
-The rank is a sparse fraction-free elimination over the integers, so its cost
-follows the nonzeros; with no modulus and no floats it is exact over Q.  A
-unit-difference system is solved by walking its constraint graph; an
-inconsistent one has no solution, which is an answer (None), not an error.
+The rank is a sparse fraction-free elimination over the integers, on rows
+given as {column: coefficient} dicts, so its cost follows the nonzeros; with
+no modulus and no floats it is exact over Q.  A unit-difference system is
+solved by walking its constraint graph; an inconsistent one has no
+solution, which is an answer (None), not an error.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from itertools import chain
 from math import gcd
 
 from .errors import InvalidInputError
 
 
-def rank_int(rows: Iterable[Sequence[int] | Mapping[int, int]]) -> int:
+def rank_int(rows: Iterable[dict[int, int]]) -> int:
     """Rank over the rationals by sparse fraction-free row reduction on integers.
 
-    Rows are dense sequences or {column: coefficient} mappings whose columns
-    and entries are ints (a bool is not), checked in one pass over all rows
-    before any reduction; the first bad row, column or entry in row order
-    raises InvalidInputError.  Each row is reduced, on a copy, against the
-    pivot at its leading column (r <- a*r - b*pivot, then divided by its
-    content; neither for a pivot of +-1) until it becomes a new pivot or vanishes.
+    Rows are {column: coefficient} dicts whose columns and entries are ints
+    (a bool is not).  Before any reduction every row is checked to be a
+    dict, then every column and entry to be an int; the first failure in
+    row order raises InvalidInputError.  Each row is reduced, on a copy,
+    against the pivot at its leading column (r <- a*r - b*pivot, then
+    divided by its content; neither for a pivot of +-1) until it becomes a
+    new pivot or vanishes.
     """
-    table: list[dict[int, int]] = []
-    for row in rows:
-        if isinstance(row, dict):
-            table.append(row)
-        elif isinstance(row, Mapping):
-            table.append(dict(row))
-        elif isinstance(row, Iterable):
-            table.append(dict(enumerate(row)))
-        else:
-            raise InvalidInputError(f"rank_int takes sequences or mappings as rows, got {row!r}")
+    table = list(rows)
+    for row in table:
+        if not isinstance(row, dict):
+            raise InvalidInputError(f"rank_int takes dict rows only, got {row!r}")
     columns, entries = chain.from_iterable(table), chain.from_iterable(map(dict.values, table))
     if not set(map(type, chain(columns, entries))) <= {int}:
         for c, x in chain.from_iterable(map(dict.items, table)):

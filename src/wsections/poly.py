@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .errors import InternalError, InvalidInputError, ResourceLimitError, UndefinedGradingError
+from .errors import InvalidInputError, ResourceLimitError, UndefinedGradingError
 
 Var = tuple[int, int]
 Monomial = tuple[tuple[Var, int], ...]
@@ -180,7 +180,7 @@ def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
     expanded: each column set also records its rows' best degree and keeps
     only the tight cells, those that reach it, and their completions.  Its
     leaves must never merge, so top mode first checks that no row holds two
-    nonzero constants, and raises InternalError otherwise.
+    nonzero constants, and raises InvalidInputError otherwise.
     """
     m = matrix.size
     nonzero = [[(c, cell) for c, cell in enumerate(row) if cell != 0] for row in matrix.rows]
@@ -191,7 +191,7 @@ def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
     if len(names) < len(variables):
         raise InvalidInputError("a variable repeats in the matrix")
     if top and any(sum(cell.__class__ is int for _, cell in row) > 1 for row in nonzero):
-        raise InternalError("top mode: a row holds two nonzero constants")
+        raise InvalidInputError("top mode: a row holds two nonzero constants")
     number = dict(zip(names, range(len(names))))
     order = sorted(range(m), key=lambda r: (len(nonzero[r]), r))
     rows = [nonzero[r] for r in order]

@@ -10,10 +10,10 @@ of every column.  Each pairing is read off the line's endpoints,
 <a_i + ... + a_{j-1}, a_k^v> = [k=i] + [k=j-1] - [k=i-1] - [k=j] (the two
 positive terms add up to 2 when j = i+1), so a row holds at most four
 nonzeros and no weight vector is built.  The orbit computations (density
-included) read the tangent space [p, point] straight off the point's line
+included) read the tangent space [p', point] straight off the point's line
 graph, transposed: one sparse row per nilradical coordinate (i, j), at index
 base[i] + j, holding that coordinate of [y, point] for every basis element y
-of p or p' an arrow of the point reaches.  The transpose has the same rank,
+of p' an arrow of the point reaches.  The transpose has the same rank,
 about two nonzeros per row and almost no reductions; the rows go to the
 exact integer rank.
 """
@@ -36,9 +36,6 @@ from .tableau import Composition, MatrixUnit, Tableau, nilradical_basis
 
 REPORT_SCHEMA = "ws-report/2"
 
-GROUP_FULL = "P"
-GROUP_DERIVED = "P'"
-
 
 def _require_step2(ls: LineSet) -> None:
     if ls.step != 2:
@@ -52,11 +49,11 @@ def reduced_entries(t: Tableau) -> tuple[int, ...]:
     )
 
 
-def separation_matrix(t: Tableau, ls: LineSet) -> tuple[dict[int, int], ...]:
+def separation_matrix(ls: LineSet) -> tuple[dict[int, int], ...]:
     """One sparse {column: coeff} row per 1-line, its weight paired against the
-    reduced-tableau coroots, read off the line's endpoints."""
+    coroots of ls's reduced tableau, read off the line's endpoints."""
     _require_step2(ls)
-    column = {k: c for c, k in enumerate(sorted(reduced_entries(t)))}
+    column = {k: c for c, k in enumerate(sorted(reduced_entries(ls.tableau)))}
     rows = []
     for ln in ls.one_lines():
         row: dict[int, int] = {}
@@ -67,9 +64,9 @@ def separation_matrix(t: Tableau, ls: LineSet) -> tuple[dict[int, int], ...]:
     return tuple(rows)
 
 
-def separation_rank(t: Tableau, ls: LineSet) -> int:
+def separation_rank(ls: LineSet) -> int:
     """Exact rank of the separation matrix; the contract is rank == #1-lines."""
-    return rank_int(separation_matrix(t, ls))
+    return rank_int(separation_matrix(ls))
 
 
 def grading_element(ls: LineSet) -> tuple[int, ...] | None:
@@ -80,22 +77,21 @@ def grading_element(ls: LineSet) -> tuple[int, ...] | None:
 
 
 def _orbit_rows(
-    t: Tableau, point: dict[tuple[int, int], int], group: str
+    t: Tableau, point: dict[tuple[int, int], int]
 ) -> tuple[list[int], list[dict[int, int]]]:
     """Each entry's row base, and one row per nilradical coordinate (i, j)
-    holding its coefficient in [y, point] for a basis y of p (group "P") or
-    of p' (group "P'"): the transpose of the tangent-space matrix, same rank.
+    holding its coefficient in [y, point] for a basis y of p': the transpose
+    of the tangent-space matrix, same rank.
 
     Rows follow t.nilradical_keys, so coordinate (i, j) is row base[i] + j.
-    Column a*(n+1) + b stands for E_ab, the Cartan E_aa when a = b; under P'
-    it stands for h_a = E_aa - E_{a+1,a+1} instead.  An arrow b -> j of the
-    point with coefficient c puts +c at E_ib into row (i, j) for every i with
-    col(i) <= col(b), and -c at E_jk into row (b, k) for every k with
-    col(j) <= col(k).  The point has no arrow inside one column, so no two
-    of these share a row and a column: rows are plain unions, with no zeros.
+    Column a*(n+1) + b stands for E_ab, and column a*(n+1) + a for
+    h_a = E_aa - E_{a+1,a+1}.  An arrow b -> j of the point with coefficient
+    c puts +c at E_ib into row (i, j) for every i with col(i) <= col(b), and
+    -c at E_jk into row (b, k) for every k with col(j) <= col(k); the Cartan
+    coefficients +c on E_bb and -c on E_jj then move onto the h_a.  The
+    point has no arrow inside one column, so no two of these share a row and
+    a column: rows are plain unions, with no zeros.
     """
-    if group not in (GROUP_FULL, GROUP_DERIVED):
-        raise InvalidInputError(f"unknown group {group!r}")
     n, end, row_of = t.n, t.column_end, t.entry_row
     base, start = [0] * (n + 1), 0
     for i in range(1, n + 1):
@@ -111,15 +107,14 @@ def _orbit_rows(
             rows[base[i] + j][i * stride + b] = c
         for k in range(j - row_of[j] + 1, n + 1):
             rows[base[b] + k][j * stride + k] = -c
-        if group == GROUP_DERIVED:
-            # Row (b, j) holds E_bb at +c and E_jj at -c; a Cartan coefficient
-            # on E_aa counts +1 on h_a and -1 on h_{a-1}, where these exist.
-            row = rows[base[b] + j]
-            for a, g in ((b, c), (j, -c)):
-                if a == end[a]:
-                    del row[a * stride + a]
-                if row_of[a] > 1:
-                    row[(a - 1) * stride + a - 1] = -g
+        # Row (b, j) holds E_bb at +c and E_jj at -c; a Cartan coefficient
+        # on E_aa counts +1 on h_a and -1 on h_{a-1}, where these exist.
+        row = rows[base[b] + j]
+        for a, g in ((b, c), (j, -c)):
+            if a == end[a]:
+                del row[a * stride + a]
+            if row_of[a] > 1:
+                row[(a - 1) * stride + a - 1] = -g
     return base, rows
 
 
@@ -135,35 +130,32 @@ def _as_point(point: "Mapping[MatrixUnit, int] | Iterable[MatrixUnit]") -> dict[
     return {u.key: c for u, c in items if c}
 
 
-def density_check(t: Tableau, ls: LineSet) -> tuple[bool, int]:
+def density_check(ls: LineSet) -> tuple[bool, int]:
     """Does [p', e+v] + V fill m, every line of e+v at coefficient 1?
 
     The rows are the coordinate rows of p''s brackets, read off the step-2
-    line graph; each 0-line's V singleton is one more column, nonzero only
-    in that line's coordinate row.  Returns (full, rank).
+    line graph over ls's tableau; each 0-line's V singleton is one more
+    column, nonzero only in that line's coordinate row.  Returns (full, rank).
     """
     _require_step2(ls)
-    base, rows = _orbit_rows(t, {ln.key: 1 for ln in ls.lines}, GROUP_DERIVED)
+    t = ls.tableau
+    base, rows = _orbit_rows(t, {ln.key: 1 for ln in ls.lines})
     for k, ln in enumerate(ls.zero_lines(), start=1):
         rows[base[ln.i] + ln.j][-k] = 1
     dim = rank_int(rows)
     return dim == len(t.nilradical_keys), dim
 
 
-def codim_orbit(
-    t: Tableau,
-    point: "Mapping[MatrixUnit, int] | Iterable[MatrixUnit]",
-    group: str = GROUP_FULL,
-) -> int:
-    """Codimension in m of the orbit of a point under P or P'.
+def codim_orbit(t: Tableau, point: "Mapping[MatrixUnit, int] | Iterable[MatrixUnit]") -> int:
+    """Codimension in m of the orbit of a point under P'.
 
     A mapping gives each unit its coefficient, an iterable coefficient 1.
     The codimension is dim m minus the rank of the coordinate rows of
-    [p, point].  A point that is neither, a key that is not a MatrixUnit, a
+    [p', point].  A point that is neither, a key that is not a MatrixUnit, a
     coefficient that is not an int, or a unit outside m raises
     InvalidInputError.
     """
-    _, rows = _orbit_rows(t, _as_point(point), group)
+    _, rows = _orbit_rows(t, _as_point(point))
     return len(t.nilradical_keys) - rank_int(rows)
 
 
@@ -256,12 +248,12 @@ def verify_composition(parts: tuple[int, ...], det_bound: int | None = None) -> 
     separation = {}
     for mode in (construction.RIGHTMOST, construction.LEFTMOST):
         ls_mode = ls2 if mode == construction.RIGHTMOST else step2(ls1, mode)
-        rank = separation_rank(t, ls_mode)
+        rank = separation_rank(ls_mode)
         expected = len(ls_mode.one_lines())
         separation[mode] = {"rank": rank, "expected": expected, "pass": rank == expected}
     checks["separation_both_modes"] = all(m["pass"] for m in separation.values())
 
-    dense, dim = density_check(t, ls2)
+    dense, dim = density_check(ls2)
     checks["density"] = dense
 
     checks["grading"] = grading_element(ls2) is not None

@@ -271,6 +271,11 @@ def rank_fractions(rows) -> int:
     return rank
 
 
+def dict_rows(m) -> list[dict[int, int]]:
+    """Dense rows as the {column: entry} dicts rank_int takes, zeros kept."""
+    return [dict(enumerate(row)) for row in m]
+
+
 def random_symbolic_matrix(
     rng: random.Random, size: int, max_vars_per_row: int | None = None
 ) -> SymbolicMatrix:

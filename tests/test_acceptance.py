@@ -12,6 +12,7 @@ from helpers import (
     X,
     compositions_upto,
     det_permutation_expansion,
+    orbit_span_dimension,
     random_symbolic_matrix,
     ungated_zero_lines,
 )
@@ -25,7 +26,7 @@ from wsections.tableau import (
     Tableau,
     bs_degree,
 )
-from wsections.verify import codim_orbit, verify_composition
+from wsections.verify import verify_composition
 
 
 def T(*parts):
@@ -85,9 +86,11 @@ def test_criterion_2_golden_1221():
     }
     assert coords == {MatrixUnit(3, 5), MatrixUnit(4, 6)}
 
-    e = [MatrixUnit(1, 2), MatrixUnit(2, 4)]
-    assert codim_orbit(t, e, "P") > 2
-    assert codim_orbit(t, e + [MatrixUnit(3, 5)], "P") == 2
+    # P-orbit codimensions, through the bracketing oracle (codim_orbit is P' only).
+    dim_m = len(t.nilradical_keys)
+    e = {(1, 2): 1, (2, 4): 1}
+    assert dim_m - orbit_span_dimension(t, e, "P") > 2
+    assert dim_m - orbit_span_dimension(t, {**e, (3, 5): 1}, "P") == 2
     elapsed = time.monotonic() - started
     assert elapsed < 1.0
     report("criterion 2 (golden 1,2,2,1)", started)

@@ -45,3 +45,14 @@ def test_every_public_name_has_a_caller_in_the_package():
 def test_public_names_exist():
     for name in wsections.__all__:
         assert hasattr(wsections, name), name
+
+
+def test_readme_library_sketch_runs(capsys):
+    # The README's sketch calls the public API; a signature change that
+    # leaves it stale fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(sketch, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("True ") and lines[1] == "2 (True, 13)"
+    assert len(lines) == 4  # the report, the two checks, then one line per pair

@@ -37,6 +37,11 @@ def T(*parts):
     return Tableau(Composition(tuple(parts)))
 
 
+def sigma(t, fam):
+    """The row each composite line ends in, by the row it starts in."""
+    return tuple(t.entry_row[path[-1]] for path in fam.paths)
+
+
 def labelled(ls):
     return {ln.key: ln.label for ln in ls.lines}
 
@@ -228,10 +233,10 @@ class TestP1P2:
         ls = step3(step2(step1(t)))
         fam = verify_P1(ls, NeighborPair(1, 4, 2))
         assert fam.paths == ((1, 3, 6), (2, 4, 5))
-        assert fam.sigma == (2, 1)
+        assert sigma(t, fam) == (2, 1)
         fam_inner = verify_P1(ls, NeighborPair(2, 3, 1))
         assert fam_inner.paths == ((3, 4),)
-        assert fam_inner.sigma == (1,)
+        assert sigma(t, fam_inner) == (1,)
 
     def test_p1_holds_after_step2_but_p2_fails(self):
         t = T(2, 1, 1, 2)
@@ -245,7 +250,7 @@ class TestP1P2:
         t = T(1, 1)
         ls = step3(step2(step1(t)))
         fam = verify_P1(ls, NeighborPair(1, 2, 1))
-        assert fam.paths == ((1, 2),) and fam.sigma == (1,)
+        assert fam.paths == ((1, 2),) and sigma(t, fam) == (1,)
         assert verify_P2(ls, fam)
 
     def test_p1_and_p2_hold_everywhere_after_step3(self):
@@ -256,9 +261,11 @@ class TestP1P2:
                 assert verify_P2(ls, verify_P1(ls, pair))
 
     def test_region_matches_box_scan(self):
-        # verify_P1 takes its region from column slices and raises unless the
-        # family covers exactly that region; the oracle scans every box.
-        for parts in list(compositions_upto(8)) + list(HEAVY_COMPOSITIONS):
+        # verify_P1 takes its region from column slices and walks its cover
+        # from the left column with no check of its own: every walk must end
+        # in the right column, and every box of the region, found here by
+        # scanning every box, must lie on exactly one walk.
+        for parts in list(compositions_upto(10)) + list(HEAVY_COMPOSITIONS):
             t = T(*parts)
             ls = step3(step2(step1(t)))
             for pair in t.neighboring_pairs:
@@ -268,9 +275,11 @@ class TestP1P2:
                     if t.entry_row[e] <= pair.s and pair.v <= t.entry_col[e] <= pair.v_prime
                 }
                 fam = verify_P1(ls, pair)
-                assert {e for path in fam.paths for e in path} == region
+                boxes = [e for path in fam.paths for e in path]
+                assert len(boxes) == len(region) and set(boxes) == region
                 assert [t.entry_row[path[0]] for path in fam.paths] == list(range(1, pair.s + 1))
-                assert fam.sigma == tuple(t.entry_row[path[-1]] for path in fam.paths)
+                assert all(t.entry_col[path[-1]] == pair.v_prime for path in fam.paths)
+                assert sorted(sigma(t, fam)) == list(range(1, pair.s + 1))
 
     def test_missing_line_raises_violation(self):
         t = T(1, 1)
@@ -389,6 +398,19 @@ class TestSection:
             for step in (1, 2, 3):
                 with pytest.raises(InvalidInputError, match="leaves the nilradical"):
                     LineSet(t, (Line(*key),), step=step, mode=RIGHTMOST)
+
+    def test_malformed_caller_input_is_invalid_input(self):
+        # Each of these used to raise InternalError, which means a bug in the
+        # package, although the caller built the bad value.
+        t = T(1, 1, 1)
+        for build in (
+            lambda: Line(1, 3, 2),
+            lambda: Line(1, 3, 1, 0, 1),  # a gated 1-line
+            lambda: LineSet(t, (Line(1, 3), Line(1, 3)), step=1),
+            lambda: Section(e=(MatrixUnit(1, 3),), v=(MatrixUnit(1, 3),)),
+        ):
+            with pytest.raises(InvalidInputError):
+                build()
         ls = LineSet(T(2, 1, 1, 2), (Line(3, 4), Line(1, 6, 0)), step=2, mode=RIGHTMOST)
         assert extract_section(ls) == Section(e=(MatrixUnit(3, 4),), v=(MatrixUnit(1, 6),))
 

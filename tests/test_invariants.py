@@ -6,6 +6,7 @@ from helpers import (
     HEAVY_COMPOSITIONS,
     Ring,
     X,
+    backtracking_cover,
     compositions_upto,
     count_perfect_matchings,
     count_section_permutations,
@@ -18,7 +19,7 @@ from helpers import (
     to_string_fstrings,
 )
 from wsections import invariants, poly
-from wsections.construction import Section, extract_section, step1, step2, step3
+from wsections.construction import Section, extract_section, step1, step2, step3, verify_P1
 from wsections.errors import (
     InvalidInputError,
     NilfibreViolationError,
@@ -313,6 +314,30 @@ class TestRestrictToSection:
                 matrix = build_minor(t, pair).matrix
                 assert count_perfect_matchings(dense_specialised_rows(matrix, e, v)) == 1, (parts, pair)
                 assert count_perfect_matchings(dense_specialised_rows(matrix, e, set())) == 0, (parts, pair)
+                pairs += 1
+        assert pairs == 2559
+
+    def test_restriction_matching_is_the_composite_family(self):
+        # The unique perfect matching of each restriction's support, found by
+        # backtracking with no determinant, uses as its variable cells
+        # exactly the lines of the pair's composite family.
+        inputs = [*compositions_upto(10), *HEAVY_COMPOSITIONS]
+        pairs = 0
+        for parts in inputs:
+            t = T(*parts)
+            ls3 = step3(step2(step1(t)))
+            sec = extract_section(ls3)
+            e, v = {u.key for u in sec.e}, {u.key for u in sec.v}
+            for pair in t.neighboring_pairs:
+                matrix = build_minor(t, pair).matrix
+                rows = dense_specialised_rows(matrix, e, v)
+                targets_of = {r: [c for c, x in enumerate(row) if x != 0] for r, row in enumerate(rows)}
+                count, matching = backtracking_cover(list(targets_of), targets_of)
+                assert count == 1, (parts, pair)
+                cells = [matrix.rows[r][c] for r, c in matching.items()]
+                variables = {cell for cell in cells if isinstance(cell, tuple)}
+                edges = verify_P1(ls3, pair).edges()
+                assert variables == set(edges) and len(edges) == len(set(edges)), (parts, pair)
                 pairs += 1
         assert pairs == 2559
 

@@ -11,6 +11,7 @@ from helpers import (
     HEAVY_COMPOSITIONS,
     compositions_upto,
     coroot_pairing,
+    dict_rows,
     line_weight,
     orbit_span_dimension,
     rank_fractions,
@@ -54,12 +55,12 @@ class TestLinalg:
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 6)
             m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-            assert rank_int(m) == rank_fractions(m)
+            assert rank_int(dict_rows(m)) == rank_fractions(m)
 
     def test_rank_needs_no_bounded_width(self):
         # Entries engineered so cross-multiplication grows fast; exactness holds.
         m = [[10**9, 1, 0], [1, 10**9, 1], [0, 1, 10**9]]
-        assert rank_int(m) == 3
+        assert rank_int(dict_rows(m)) == 3
 
     def test_mapping_rows_match_dense_rows(self):
         rng = random.Random(20261017)
@@ -70,13 +71,7 @@ class TestLinalg:
                 for _ in range(rng.randint(1, 8))
             ]
             sparse = [{c: x for c, x in enumerate(row) if x} for row in m]
-            assert rank_int(sparse) == rank_int(m) == rank_fractions(m)
-            # Any Mapping is a sparse row, also mixed with the other kinds;
-            # read as a dense row it would enumerate its keys.
-            proxies = [MappingProxyType(row) for row in sparse]
-            dense = [tuple(row) for row in m]
-            mixed = [(proxies, sparse, dense)[k % 3][k] for k in range(len(m))]
-            assert rank_int(proxies) == rank_int(mixed) == rank_int(m)
+            assert rank_int(sparse) == rank_int(dict_rows(m)) == rank_fractions(m)
 
     def test_rank_shapes_against_fraction_oracle(self):
         rng = random.Random(7)
@@ -89,47 +84,48 @@ class TestLinalg:
             [sum(w * b[c] for w, b in zip(ws, basis)) for c in range(9)] for ws in weights
         ]
         for m in (tall, wide, zeros, deficient):
-            assert rank_int(m) == rank_fractions(m)
-        assert rank_int(deficient) <= 3
-        assert rank_int(zeros) == 0
+            assert rank_int(dict_rows(m)) == rank_fractions(m)
+        assert rank_int(dict_rows(deficient)) <= 3
+        assert rank_int(dict_rows(zeros)) == 0
         assert rank_int([]) == 0
         assert rank_int([{}, {3: 0}]) == 0
 
     def test_rank_rejects_non_integer_entries(self):
         # Nothing is truncated: a float, a Fraction, a string or a bool is
-        # refused, dense or sparse, zero or not.
+        # refused, zero or not.
         for rows in (
-            [[1.5, 1], [3, 2]],
-            [["a", 2]],
-            [[True, 0], [0, 1]],
-            [[0.0, 1]],
+            dict_rows([[1.5, 1], [3, 2]]),
+            dict_rows([["a", 2]]),
+            dict_rows([[True, 0], [0, 1]]),
+            dict_rows([[0.0, 1]]),
             [{0: 1, 2: Fraction(1, 2)}],
-            [MappingProxyType({1: 2.0})],
-            [[1, 0], [0, False]],
+            [{1: 2.0}],
+            dict_rows([[1, 0], [0, False]]),
         ):
             with pytest.raises(InvalidInputError, match="int entries only"):
                 rank_int(rows)
 
     def test_rank_rejects_malformed_rows_and_columns(self):
-        # A row that is no sequence or mapping used to end in TypeError, a
-        # str column beside an int one too; a float or bool column passed.
-        for rows in ([5], [None], [[1, 2], 7]):
-            with pytest.raises(InvalidInputError, match="sequences or mappings"):
+        # Rows are dicts only: a dense sequence or another mapping is
+        # refused like a number or None; a str column beside an int one used
+        # to end in TypeError, and a float or bool column passed.
+        for rows in ([5], [None], [{0: 1}, 7], [[1, 2]], [(0, 1)], [MappingProxyType({0: 1})]):
+            with pytest.raises(InvalidInputError, match="dict rows only"):
                 rank_int(rows)
         for rows in (
             [{"a": 1, 1: 2}],
             [{True: 1}],
             [{0: 1}, {1.0: 2}],
-            [MappingProxyType({(0, 1): 1})],
+            [{(0, 1): 1}],
         ):
             with pytest.raises(InvalidInputError, match="int columns only"):
                 rank_int(rows)
 
     def test_first_bad_entry_in_row_order_is_named(self):
         for rows, bad in (
-            ([[1, 2], [3, 1.5], {0: "a"}], "1.5"),
-            ([{0: 1}, {"c": 2.5}, [0.5]], "'c'"),
-            ([[1, 0], (0, None), [False]], "None"),
+            ([{0: 1, 1: 2}, {0: 3, 1: 1.5}, {0: "a"}], "1.5"),
+            ([{0: 1}, {"c": 2.5}, {0: 0.5}], "'c'"),
+            ([{0: 1, 1: 0}, {0: 0, 1: None}, {0: False}], "None"),
         ):
             with pytest.raises(InvalidInputError, match=f"got {bad}$"):
                 rank_int(rows)
@@ -157,9 +153,9 @@ class TestLinalg:
                 [rng.choice((-1, 0, 0, 1, rng.randint(-9, 9))) for _ in range(cols)]
                 for _ in range(rng.randint(1, 8))
             ]
-            assert rank_int(m) == rank_fractions(m)
+            assert rank_int(dict_rows(m)) == rank_fractions(m)
         m = [[-1, 2, 4], [3, 0, 6], [2, 2, 10]]
-        assert rank_int(m) == rank_fractions(m) == 2
+        assert rank_int(dict_rows(m)) == rank_fractions(m) == 2
 
     def test_coefficient_growth_as_mapping_rows(self):
         m = [[10**9, 1, 0], [1, 10**9, 1], [0, 1, 10**9], [1, 1, 1]]
@@ -199,24 +195,24 @@ class TestWeights:
 class TestSeparation:
     def test_paper_rank_3(self):
         t = T(3, 3, 1)
-        assert separation_rank(t, LS2(t)) == 3
+        assert separation_rank(LS2(t)) == 3
 
     def test_derived_rank_1332(self):
         t = T(1, 3, 3, 2)
         ls = LS2(t)
         assert len(ls.one_lines()) == 5
-        assert separation_rank(t, ls) == 5
+        assert separation_rank(ls) == 5
 
     def test_borel_rank_zero(self):
         t = T(1, 1, 1, 1)
-        assert separation_rank(t, LS2(t)) == 0
+        assert separation_rank(LS2(t)) == 0
 
     def test_rank_equals_line_count_exhaustive_both_modes(self):
         for parts in compositions_upto(9):
             t = T(*parts)
             for mode in (RIGHTMOST, LEFTMOST):
                 ls = LS2(t, mode)
-                assert separation_rank(t, ls) == len(ls.one_lines())
+                assert separation_rank(ls) == len(ls.one_lines())
 
     def test_reduced_entry_count_is_derived_cartan_dimension(self):
         for parts in compositions_upto(8):
@@ -234,7 +230,7 @@ class TestSeparation:
                 dense = [
                     [coroot_pairing(line_weight(t, ln), k) for k in entries] for ln in ls.one_lines()
                 ]
-                rows = separation_matrix(t, ls)
+                rows = separation_matrix(ls)
                 assert [{c: x for c, x in enumerate(row) if x} for row in dense] == list(rows)
                 assert rank_int(rows) == rank_fractions(dense)
 
@@ -242,7 +238,7 @@ class TestSeparation:
         for parts in compositions_upto(7):
             t = T(*parts)
             for mode in (RIGHTMOST, LEFTMOST):
-                sparse = separation_matrix(t, LS2(t, mode))
+                sparse = separation_matrix(LS2(t, mode))
                 if not sparse:
                     continue
                 width = len(reduced_entries(t))
@@ -255,10 +251,20 @@ class TestSeparation:
                     for rb, _ in witness[a + 1 :]:
                         assert rows[rb][ca] == 0
 
+    def test_checks_read_the_line_sets_tableau(self):
+        # The checks take no tableau of their own.  A mismatched one used to
+        # be accepted: with all-ones it gave rank 0, with 3,1,2 density
+        # raised "vector leaves the nilradical".
+        ls = LS2(T(2, 1, 1, 2))
+        assert separation_rank(ls) == 2 and density_check(ls) == (True, 13)
+        for check, t in ((separation_rank, T(1, 1, 1, 1, 1, 1)), (density_check, T(3, 1, 2))):
+            with pytest.raises(TypeError):
+                check(t, ls)
+
     def test_rejects_wrong_stage(self):
         t = T(2, 2)
         with pytest.raises(InvalidStateError):
-            separation_rank(t, step1(t))
+            separation_rank(step1(t))
 
 
 class TestRootSystemType:
@@ -309,18 +315,18 @@ class TestGrading:
 class TestDensity:
     def test_goldens(self):
         t = T(2, 1, 1, 2)
-        assert density_check(t, LS2(t)) == (True, 13)
+        assert density_check(LS2(t)) == (True, 13)
         t = T(1, 2, 2, 1)
-        ok, dim = density_check(t, LS2(t))
+        ok, dim = density_check(LS2(t))
         assert ok and dim == len(nilradical_basis(t))
 
     def test_single_column_vacuous(self):
-        assert density_check(T(5), LS2(T(5))) == (True, 0)
+        assert density_check(LS2(T(5))) == (True, 0)
 
     def test_exhaustive_small(self):
         for parts in compositions_upto(7):
             t = T(*parts)
-            ok, dim = density_check(t, LS2(t))
+            ok, dim = density_check(LS2(t))
             assert ok, (parts, dim)
 
 
@@ -361,43 +367,52 @@ class TestDensityRank:
     def test_dim_matches_fraction_oracle_4444(self):
         t = T(4, 4, 4, 4)
         ls = LS2(t)
-        ok, dim = density_check(t, ls)
+        ok, dim = density_check(ls)
         assert len(nilradical_basis(t)) == 96
         assert dim == rank_fractions(_derived_bracket_rows(t, ls))
         assert ok and dim == 96
 
 
 class TestCodimOrbit:
+    # codim_orbit computes under P' only; the paper's P codimensions are
+    # asserted through the bracketing oracle.
     def test_2112_paper_values(self):
         t = T(2, 1, 1, 2)
         e = [MatrixUnit(1, 3), MatrixUnit(2, 4), MatrixUnit(4, 5)]
-        assert codim_orbit(t, e, "P'") == 3
-        assert codim_orbit(t, e, "P") == 2
+        assert codim_orbit(t, e) == 3
+        assert _codim_under_p(t, e) == 2
 
     def test_1221_paper_values(self):
         t = T(1, 2, 2, 1)
         e = [MatrixUnit(1, 2), MatrixUnit(2, 4)]
-        assert codim_orbit(t, e, "P") > 2
+        assert _codim_under_p(t, e) > 2
         regular = e + [MatrixUnit(3, 5)]
-        assert codim_orbit(t, regular, "P") == 2
+        assert _codim_under_p(t, regular) == 2
 
     def test_full_point_is_dense_for_p(self):
         for parts in compositions_upto(6):
             t = T(*parts)
             point = [ln.unit for ln in step1(t).lines]
-            assert codim_orbit(t, point, "P") == 0
+            assert _codim_under_p(t, point) == 0
 
     def test_weighted_mapping_accepted(self):
-        t = T(1, 1)
-        assert codim_orbit(t, {MatrixUnit(1, 2): 3}, "P") == 0
-        assert codim_orbit(t, {MatrixUnit(1, 2): 0}, "P") == 1
+        # On 2,1, [h_1, c E_13] = c E_13 and [E_21, c E_13] = c E_23, so any
+        # nonzero multiple of E_13 is dense under P'; the zero point is not.
+        t = T(2, 1)
+        assert codim_orbit(t, {MatrixUnit(1, 3): 3}) == 0
+        assert codim_orbit(t, {MatrixUnit(1, 3): 0}) == 2
 
     def test_non_integer_coefficients_rejected(self):
         # Truncating 0.5 to 0 would read a nonzero point as the zero point.
         t = T(1, 1)
         for c in (0.5, 1.5, "x", True, False, 1.0):
             with pytest.raises(InvalidInputError, match="not an integer"):
-                codim_orbit(t, {MatrixUnit(1, 2): c}, "P")
+                codim_orbit(t, {MatrixUnit(1, 2): c})
+
+
+def _codim_under_p(t, units):
+    """The oracle's codimension of the P-orbit of a coefficient-1 point."""
+    return len(nilradical_basis(t)) - orbit_span_dimension(t, {u.key: 1 for u in units}, "P")
 
 
 def _orbit_inputs():
@@ -414,7 +429,7 @@ class TestOrbitRowsOracle:
             point = {ln.key: 1 for ln in ls.lines}
             extra = [{ln.key: 1} for ln in ls.zero_lines()]
             dim = orbit_span_dimension(t, point, "P'", extra)
-            assert density_check(t, ls) == (dim == len(nilradical_basis(t)), dim)
+            assert density_check(ls) == (dim == len(nilradical_basis(t)), dim)
 
     def test_codim_orbit_matches_oracle(self):
         for t in _orbit_inputs():
@@ -426,9 +441,8 @@ class TestOrbitRowsOracle:
             for point in (section, e, weighted):
                 coeffs = point if isinstance(point, dict) else dict.fromkeys(point, 1)
                 keyed = {u.key: c for u, c in coeffs.items()}
-                for group in ("P", "P'"):
-                    expected = dim_m - orbit_span_dimension(t, keyed, group)
-                    assert codim_orbit(t, point, group) == expected, (t, group)
+                expected = dim_m - orbit_span_dimension(t, keyed, "P'")
+                assert codim_orbit(t, point) == expected, t
 
     def test_codim_orbit_of_random_points_matches_oracle(self):
         # On a line graph (2-colourable) a sign error in the bracket's second
@@ -443,9 +457,8 @@ class TestOrbitRowsOracle:
                 chosen = rng.sample(units, min(dim_m, rng.randint(1, 5)))
                 point = {u: rng.choice((-3, -1, 1, 2, 3)) for u in chosen}
                 keyed = {u.key: c for u, c in point.items()}
-                for group in ("P", "P'"):
-                    expected = dim_m - orbit_span_dimension(t, keyed, group)
-                    assert codim_orbit(t, point, group) == expected, (parts, point)
+                expected = dim_m - orbit_span_dimension(t, keyed, "P'")
+                assert codim_orbit(t, point) == expected, (parts, point)
 
     def test_battery_regime_matches_oracle(self):
         # The sizes the benchmark times: n uniform in [18, 26], parts 1..4,
@@ -463,14 +476,13 @@ class TestOrbitRowsOracle:
             dim_m = len(t.nilradical_keys)
             extra = [{ln.key: 1} for ln in ls.zero_lines()]
             dim = orbit_span_dimension(t, {ln.key: 1 for ln in ls.lines}, "P'", extra)
-            assert density_check(t, ls) == (dim == dim_m, dim), parts
+            assert density_check(ls) == (dim == dim_m, dim), parts
             section = [ln.unit for ln in step3(ls).lines]
             for coeffs in ((1, 1), (3, 1)):
                 point = {u: coeffs[k % 2] for k, u in enumerate(section)}
                 keyed = {u.key: c for u, c in point.items()}
-                for group in ("P", "P'"):
-                    expected = dim_m - orbit_span_dimension(t, keyed, group)
-                    assert codim_orbit(t, point, group) == expected, (parts, coeffs, group)
+                expected = dim_m - orbit_span_dimension(t, keyed, "P'")
+                assert codim_orbit(t, point) == expected, (parts, coeffs)
 
     def test_density_failure_paths_match_oracle(self):
         # A 0-line dropped from V (kept in the point, relabelled 1), or a
@@ -493,7 +505,7 @@ class TestOrbitRowsOracle:
                     extra = [{ln.key: 1} for ln in variant.zero_lines()]
                     point = {ln.key: 1 for ln in variant.lines}
                     dim = orbit_span_dimension(t, point, "P'", extra)
-                    assert density_check(t, variant) == (dim == dim_m, dim), (parts, mode)
+                    assert density_check(variant) == (dim == dim_m, dim), (parts, mode)
                     failures += dim < dim_m
         assert failures > 0
 
@@ -501,9 +513,8 @@ class TestOrbitRowsOracle:
         # Plain (i, j) tuples used to end in AttributeError.
         t = T(2, 1, 1, 2)
         for point in ([(1, 3)], {(1, 3): 1}, [MatrixUnit(1, 3), "x"], {MatrixUnit(1, 3): 1, None: 2}):
-            for group in ("P", "P'"):
-                with pytest.raises(InvalidInputError, match="not a MatrixUnit"):
-                    codim_orbit(t, point, group)
+            with pytest.raises(InvalidInputError, match="not a MatrixUnit"):
+                codim_orbit(t, point)
 
     def test_point_neither_mapping_nor_iterable_rejected(self):
         # These used to end in TypeError: '...' object is not iterable.
@@ -511,19 +522,14 @@ class TestOrbitRowsOracle:
             with pytest.raises(InvalidInputError, match="neither a mapping nor an iterable"):
                 codim_orbit(T(2, 1, 1, 2), point)
 
-    def test_unknown_group(self):
-        with pytest.raises(InvalidInputError, match="unknown group"):
-            codim_orbit(T(2, 1, 1, 2), [MatrixUnit(1, 3)], "B")
-
     def test_point_outside_the_nilradical(self):
         # (5, 6) lies inside one column block; (1, 9) beyond the tableau.
         for t, point in (
             (T(2, 1, 1, 2), [MatrixUnit(1, 3), MatrixUnit(5, 6)]),
             (T(1, 1), [MatrixUnit(1, 9)]),
         ):
-            for group in ("P", "P'"):
-                with pytest.raises(InvalidInputError, match="leaves the nilradical"):
-                    codim_orbit(t, point, group)
+            with pytest.raises(InvalidInputError, match="leaves the nilradical"):
+                codim_orbit(t, point)
 
 
 class TestBattery:
