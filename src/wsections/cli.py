@@ -7,12 +7,15 @@ the same battery over every composition of each n <= n_max (lexicographic
 order, one pure call per composition) and aggregates.  Oversized generic
 determinants are recorded as skipped, never as failures.  All output is
 deterministic: sorted keys, stable orderings.
+main builds its parser once per process, on its first call, and reuses it;
+only in-process callers that call main many times gain from this.
 Exit codes: 0 pass, 1 failed check or resource limit, 2 bad input, bad bound
 or unwritable output.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -123,6 +126,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wsections",

@@ -90,16 +90,15 @@ def _orbit_rows(
     -c at E_jk into row (b, k) for every k with col(j) <= col(k); the Cartan
     coefficients +c on E_bb and -c on E_jj then move onto the h_a.  The
     point has no arrow inside one column, so no two of these share a row and
-    a column: rows are plain unions, with no zeros.
+    a column: rows are plain unions, with no zeros.  Every key of the point
+    must lie in m: a LineSet line does by construction, and _as_point checks
+    codim_orbit's points.
     """
     n, end, row_of = t.n, t.column_end, t.entry_row
     base, start = [0] * (n + 1), 0
     for i in range(1, n + 1):
         base[i] = start - end[i] - 1
         start += n - end[i]
-    for i, j in point:
-        if not (1 <= i <= n and end[i] < j <= n):
-            raise InvalidInputError(f"vector leaves the nilradical at {(i, j)}")
     stride = n + 1
     rows: list[dict[int, int]] = [{} for _ in t.nilradical_keys]
     for (b, j), c in point.items():
@@ -118,7 +117,9 @@ def _orbit_rows(
     return base, rows
 
 
-def _as_point(point: "Mapping[MatrixUnit, int] | Iterable[MatrixUnit]") -> dict[tuple[int, int], int]:
+def _as_point(
+    t: Tableau, point: "Mapping[MatrixUnit, int] | Iterable[MatrixUnit]"
+) -> dict[tuple[int, int], int]:
     if not isinstance(point, Iterable):
         raise InvalidInputError(f"point {point!r} is neither a mapping nor an iterable")
     items = point.items() if isinstance(point, Mapping) else [(u, 1) for u in point]
@@ -127,7 +128,11 @@ def _as_point(point: "Mapping[MatrixUnit, int] | Iterable[MatrixUnit]") -> dict[
             raise InvalidInputError(f"point unit {u!r} is not a MatrixUnit")
         if isinstance(c, bool) or not isinstance(c, int):
             raise InvalidInputError(f"coefficient {c!r} at {u.key} is not an integer")
-    return {u.key: c for u, c in items if c}
+    keyed = {u.key: c for u, c in items if c}
+    for i, j in keyed:
+        if not (i <= t.n and t.column_end[i] < j <= t.n):
+            raise InvalidInputError(f"vector leaves the nilradical at {(i, j)}")
+    return keyed
 
 
 def density_check(ls: LineSet) -> tuple[bool, int]:
@@ -155,7 +160,7 @@ def codim_orbit(t: Tableau, point: "Mapping[MatrixUnit, int] | Iterable[MatrixUn
     coefficient that is not an int, or a unit outside m raises
     InvalidInputError.
     """
-    _, rows = _orbit_rows(t, _as_point(point))
+    _, rows = _orbit_rows(t, _as_point(t, point))
     return len(t.nilradical_keys) - rank_int(rows)
 
 

@@ -3,14 +3,14 @@
 Everything here recomputes expected values by a different route than the
 package: determinants by full permutation expansion and by fraction-free
 (Bareiss) elimination over the polynomial ring, ranks by Gaussian
-elimination over fractions, composite-line covers by recursive backtracking,
-perfect matchings of a matrix's support by a count over covered column sets,
-restrictions by substituting into the expanded polynomial, compositions by
-recursion on the first part, orbit tangent
-spaces by bracketing every basis matrix of p with every unit of the point,
-the nilradical by testing all n^2 positions, minors and their
-specialisations cell by cell from column_of, polynomial strings by one
-f-string per factor.  The package's Polynomial is a value only, built by
+elimination over fractions (on dense rows and on sparse dict rows),
+composite-line covers by recursive backtracking, perfect matchings of a
+matrix's support by a count over covered column sets, restrictions by
+substituting into the expanded polynomial, compositions by recursion on the
+first part, orbit tangent spaces by bracketing every basis matrix of p with
+every unit of the point, the nilradical by testing all n^2 positions, minors
+and their specialisations cell by cell from column_of, polynomial strings by
+one f-string per factor.  The package's Polynomial is a value only, built by
 det; Ring is a polynomial of its own, on a plain dict, with the arithmetic
 these oracles and the tests need.
 """
@@ -271,6 +271,30 @@ def rank_fractions(rows) -> int:
     return rank
 
 
+def rank_sparse_fractions(rows) -> int:
+    """Rank of {column: entry} rows by elimination over Fraction, with each
+    pivot row kept monic under its least column; shares no code with
+    wsections.linalg."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        work = {c: Fraction(x) for c, x in row.items() if x}
+        while work:
+            lead = min(work)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = 1 / work[lead]
+                pivots[lead] = {c: x * inv for c, x in work.items()}
+                break
+            f = work[lead]
+            for c, x in pivot.items():
+                y = work.get(c, 0) - f * x
+                if y:
+                    work[c] = y
+                else:
+                    del work[c]
+    return len(pivots)
+
+
 def dict_rows(m) -> list[dict[int, int]]:
     """Dense rows as the {column: entry} dicts rank_int takes, zeros kept."""
     return [dict(enumerate(row)) for row in m]
@@ -411,15 +435,13 @@ def algebra_basis(t, group):
 def orbit_span_dimension(t, point, group, extra=()):
     """dim of [p, point] + span(extra) in m, bracketing every basis matrix.
 
-    The point is {(i, j): coeff}; the rank is taken by rank_int, which has
-    its own oracle in rank_fractions.
+    The point is {(i, j): coeff}; the rank is taken by rank_sparse_fractions,
+    checked against the dense rank_fractions.
     """
-    from wsections.linalg import rank_int
-
     index = {u.key: pos for pos, u in enumerate(nilradical_by_definition(t))}
     vectors = [bracket_with_point(x, point) for x in algebra_basis(t, group)]
     vectors += list(extra)
-    return rank_int([{index[k]: c for k, c in vec.items()} for vec in vectors])
+    return rank_sparse_fractions([{index[k]: c for k, c in vec.items()} for vec in vectors])
 
 
 def ungated_zero_lines(ls):

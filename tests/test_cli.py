@@ -1,10 +1,26 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import wsections
 from wsections import cli, poly
+
+SRC = str(Path(wsections.__file__).parents[1])
+
+
+def fresh_python(*args, cwd=None):
+    """Run python with the package on its path, in a new process."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, check=True
+    )
 
 
 def run(argv, capsys):
@@ -258,3 +274,65 @@ class TestParserContract:
         with pytest.raises(SystemExit) as err:
             cli.main(["construct"])
         assert err.value.code == 2
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call leaks into the next."""
+
+    def test_bound_flag_does_not_stick(self, capsys, tmp_path, monkeypatch):
+        bounds = []
+        real = cli.verify_composition
+
+        def recording(parts, det_bound=None):
+            bounds.append(det_bound)
+            return real(parts, det_bound)
+
+        monkeypatch.setattr(cli, "verify_composition", recording)
+        for extra in (["--det-size-bound", "4"], []):
+            code, _, _ = run(["verify", "-c", "2,1,1,2", "-o", str(tmp_path), *extra], capsys)
+            assert code == 0
+        assert bounds == [4, None]
+
+    def test_stage_flag_does_not_stick(self, capsys):
+        _, stage1, _ = run(["construct", "-c", "2,1,1,2", "--stage", "1"], capsys)
+        _, bare, _ = run(["construct", "-c", "2,1,1,2"], capsys)
+        _, stage3, _ = run(["construct", "-c", "2,1,1,2", "--stage", "3"], capsys)
+        assert "stage: step1" in stage1
+        assert bare == stage3 != stage1
+
+    def test_valid_call_after_argparse_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["verify", "-c", "2,1,1,2", "--det-size-bound", "abc"])
+        assert err.value.code == 2
+        code, out, _ = run(["verify", "-c", "2,1,1,2", "-o", str(tmp_path)], capsys)
+        assert code == 0 and "pass" in out
+
+    def test_patch_after_first_call_is_honoured(self, capsys, tmp_path, monkeypatch):
+        assert run(["verify", "-c", "2", "-o", str(tmp_path)], capsys)[0] == 0
+        report = json.loads((tmp_path / "verify-2.json").read_text())
+        monkeypatch.setattr(cli, "verify_composition", lambda *a: {**report, "pass": False})
+        code, out, _ = run(["verify", "-c", "2", "-o", str(tmp_path)], capsys)
+        assert code == 1 and "FAIL" in out
+
+    def test_parser_built_once_and_not_at_import(self, capsys, tmp_path):
+        run(["construct", "-c", "2,1"], capsys)
+        built = cli.build_parser.cache_info().misses
+        commands = (["construct", "-c", "1,2"], ["verify", "-c", "1,1", "-o", str(tmp_path)])
+        for command in commands * 5:
+            run(command, capsys)
+        assert cli.build_parser.cache_info().misses == built
+        assert cli.build_parser() is cli.build_parser()
+        probe = "import wsections.cli as c; print(c.build_parser.cache_info().misses)"
+        assert fresh_python("-c", probe).stdout == "0\n"
+
+    @pytest.mark.parametrize("composition", ["2,1,1,2", "2,1,3,1,2,3"])
+    @pytest.mark.parametrize("bound", [[], ["--det-size-bound", "6"]])
+    def test_in_process_reports_match_a_fresh_process(self, capsys, tmp_path, composition, bound):
+        argv = ["verify", "-c", composition, *bound]
+        for rerun in ("a", "b"):
+            run(argv + ["-o", str(tmp_path / rerun)], capsys)
+        fresh_python("-m", "wsections", *argv, "-o", str(tmp_path / "fresh"))
+        name = f"verify-{composition.replace(',', '-')}.json"
+        fresh = (tmp_path / "fresh" / name).read_bytes()
+        assert (tmp_path / "a" / name).read_bytes() == fresh
+        assert (tmp_path / "b" / name).read_bytes() == fresh

@@ -15,6 +15,7 @@ from helpers import (
     line_weight,
     orbit_span_dimension,
     rank_fractions,
+    rank_sparse_fractions,
     root_system_type,
     triangular_unimodular_witness,
     weight_inner,
@@ -72,6 +73,21 @@ class TestLinalg:
             ]
             sparse = [{c: x for c, x in enumerate(row) if x} for row in m]
             assert rank_int(sparse) == rank_int(dict_rows(m)) == rank_fractions(m)
+
+    def test_sparse_fraction_oracle_matches_dense_one(self):
+        # The orbit oracle's rank, against rank_fractions alone: sparse and
+        # rank-deficient rows, rows given out of column order.
+        rng = random.Random(20261020)
+        for _ in range(300):
+            cols = rng.randint(1, 9)
+            m = [
+                [rng.choice((0, 0, 0, rng.randint(-6, 6))) for _ in range(cols)]
+                for _ in range(rng.randint(1, 9))
+            ]
+            m += [[a - 2 * b for a, b in zip(m[0], m[-1])]]
+            rows = [dict(reversed([(c, x) for c, x in enumerate(row) if x])) for row in m]
+            assert rank_sparse_fractions(rows) == rank_fractions(m)
+        assert rank_sparse_fractions([]) == 0
 
     def test_rank_shapes_against_fraction_oracle(self):
         rng = random.Random(7)
