@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from graphlib import CycleError, TopologicalSorter
 
 from .errors import (
     InternalError,
@@ -131,6 +130,16 @@ class Section:
     def __post_init__(self) -> None:
         if set(self.e) & set(self.v):
             raise InvalidInputError("section with overlapping e and V")
+
+    @cached_property
+    def e_keys(self) -> frozenset[tuple[int, int]]:
+        """The (i, j) keys of e's units, built on first read and kept."""
+        return frozenset(u.key for u in self.e)
+
+    @cached_property
+    def v_keys(self) -> frozenset[tuple[int, int]]:
+        """The (i, j) keys of V's units, built on first read and kept."""
+        return frozenset(u.key for u in self.v)
 
 
 @dataclass(frozen=True)
@@ -287,7 +296,8 @@ def _cover(starts, targets_of) -> tuple[int, dict[int, int]]:
     starts, so a cover is a perfect matching; one is found by augmenting
     paths walked on an explicit stack, never by recursion.  It is the only
     one exactly when it has no alternating cycle, that is when the graph
-    sending each start to the owners of its other targets is acyclic.
+    sending each start to the owners of its other targets is acyclic; a
+    colouring walk on an explicit stack from every start looks for a cycle.
     """
     owner: dict[int, int] = {}
     for root in starts:
@@ -311,10 +321,24 @@ def _cover(starts, targets_of) -> tuple[int, dict[int, int]]:
             return 0, {}
     chosen = {b: t for t, b in owner.items()}
     others = {b: [owner[t] for t in targets_of[b] if t != chosen[b]] for b in chosen}
-    try:
-        TopologicalSorter(others).prepare()
-    except CycleError:
-        return 2, chosen
+    state = dict.fromkeys(chosen, 0)  # 0 unvisited, 1 on the walk's path, 2 done
+    for root in chosen:
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(others[root]))]
+        while stack:
+            b, nexts = stack[-1]
+            for c in nexts:
+                if state[c] == 1:  # back to a start on the path: a cycle
+                    return 2, chosen
+                if not state[c]:
+                    state[c] = 1
+                    stack.append((c, iter(others[c])))
+                    break
+            else:
+                state[b] = 2
+                stack.pop()
     return 1, chosen
 
 

@@ -75,7 +75,7 @@ def build_minor(t: Tableau, pair: NeighborPair) -> MinorSpec:
     return MinorSpec(pair=pair, size=matrix.size, degree=degree, matrix=matrix)
 
 
-def _specialise(ms: MinorSpec, ones: set, kept: set) -> Polynomial:
+def _specialise(ms: MinorSpec, ones: frozenset, kept: frozenset) -> Polynomial:
     """Determinant of the minor with its variable cells specialised by key.
 
     A constant cell stays; a variable cell stays symbolic when kept names
@@ -93,7 +93,7 @@ def _specialise(ms: MinorSpec, ones: set, kept: set) -> Polynomial:
 
 def restrict_to_section(ms: MinorSpec, sec: Section) -> Polynomial:
     """Determinant with 1 on the e-coordinates, V kept symbolic, 0 elsewhere."""
-    return _specialise(ms, {u.key for u in sec.e}, {u.key for u in sec.v})
+    return _specialise(ms, sec.e_keys, sec.v_keys)
 
 
 def section_coordinate(ms: MinorSpec, sec: Section) -> tuple[int, MatrixUnit]:
@@ -112,7 +112,7 @@ def section_coordinate(ms: MinorSpec, sec: Section) -> tuple[int, MatrixUnit]:
 
 def restrict_to_E(ms: MinorSpec, sec: Section) -> Polynomial:
     """Determinant with 1 on e and 0 on everything else; must be zero."""
-    result = _specialise(ms, {u.key for u in sec.e}, set())
+    result = _specialise(ms, sec.e_keys, frozenset())
     if not result.is_zero():
         raise NilfibreViolationError(
             f"pair ({ms.pair.v}, {ms.pair.v_prime}) does not vanish on e: {result}"

@@ -14,20 +14,22 @@ nothing truncates: exactness is the contract.
 
 Determinants of matrices whose entries are integers or single variables have
 one engine at every size and in both modes: a sparse Laplace expansion
-tabulated over the sets of columns left free, where each set records how
-many completions reach it and the cells that lead there, then a walk along
-those cells whose leaves are the permutations' signed monomials.  Full mode
-keeps every cell and sums the leaves that share a monomial.  Top mode, which
-the generic invariants use, keeps only the cells of top degree, and its
-leaves never merge: it is exact when no two permutations share a monomial,
-which it checks first.  Both modes fill the value's form from their leaves.
-A determinant whose column sets and completions would outgrow MEMO_BUDGET
-raises ResourceLimitError rather than exhaust memory.
+tabulated over sets of columns, where each set records how many completions
+reach it and the cells that lead there, then a walk along those cells whose
+leaves are the permutations' signed monomials.  Full mode expands the rows
+sparsest first, keeps every cell and sums the leaves that share a monomial.
+Top mode, which the generic invariants use, expands the rows in index order
+and keeps only the cells of top degree, and its leaves never merge: it is
+exact when no two permutations share a monomial, which it checks first.
+When the variables' numbers grow row by row, as in every generic minor, its
+leaves come out already sorted.  Both modes fill the value's form from their
+leaves.  A determinant whose column sets and completions would outgrow
+MEMO_BUDGET raises ResourceLimitError rather than exhaust memory.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import InvalidInputError, ResourceLimitError, UndefinedGradingError
 
@@ -151,19 +153,19 @@ class SymbolicMatrix:
 
 
 MEMO_BUDGET = 1 << 20  # column sets plus completions one determinant may tabulate
+_UNFILLED = (-1, 0, ())  # a column set the rows below cannot fill
 
 
 def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
     """Exact symbolic determinant by sparse Laplace expansion.
 
-    Rows are expanded sparsest first, over every set of columns the rows
-    above can leave free.  From the last row up, each column set records how
-    many completions the rows below have on it and the cells that lead
-    there; a cell whose next column set has a single cell takes that forced
-    step at once.  A walk on an explicit stack then follows the cells from
-    the full column set, and each leaf is one permutation's signed monomial.
-    Raises ResourceLimitError once the column sets and completions tabulated
-    for this determinant exceed MEMO_BUDGET.
+    From the last row up, each set of columns the rows below may fill
+    records how many completions those rows have on it and the cells that
+    lead there; a cell whose next column set has a single cell takes that
+    forced step at once.  A walk on an explicit stack then follows the cells
+    from the full column set, and each leaf is one permutation's signed
+    monomial.  Raises ResourceLimitError once the column sets and
+    completions tabulated for this determinant exceed MEMO_BUDGET.
 
     The matrix's variables must be distinct, so every monomial is
     squarefree; a repeated variable raises InvalidInputError in either mode.
@@ -172,53 +174,86 @@ def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
     tuples with their nonzero coefficients, and the least and greatest leaf
     length as the degrees (-1 when no term survives).
 
-    Full mode keeps every cell with a completion, so the completions count
-    permutations.  Leaves that share a monomial are summed and zeros
-    dropped: cancellation stays exact.
+    Full mode expands the rows sparsest first, over every column set the
+    rows above can leave free, and keeps every cell with a completion, so
+    the completions count permutations.  Leaves that share a monomial are
+    summed and zeros dropped: cancellation stays exact.
 
     With top=True only the homogeneous component of maximal total degree is
     expanded: each column set also records its rows' best degree and keeps
     only the tight cells, those that reach it, and their completions.  Its
     leaves must never merge, so top mode first checks that no row holds two
-    nonzero constants, and raises InvalidInputError otherwise.
+    nonzero constants, and raises InvalidInputError otherwise.  It expands
+    the rows in index order, over only the column sets the rows below can
+    fill, and walks each row's variables from the left, then its constant.
+    All its leaves have one degree, so when the matrix's variables, read row
+    by row from the left, are already sorted, the leaves come out in
+    sorted_terms() order and neither a leaf nor the leaves are sorted;
+    otherwise each leaf and then all of them are sorted once.
     """
-    m = matrix.size
-    nonzero = [[(c, cell) for c, cell in enumerate(row) if cell != 0] for row in matrix.rows]
-    # Number the variables in sorted order: a leaf sorts small ints, and the
-    # numbers sort as the variables do.
-    variables = [cell for row in nonzero for _, cell in row if cell.__class__ is not int]
-    names = sorted(set(variables))
-    if len(names) < len(variables):
-        raise InvalidInputError("a variable repeats in the matrix")
-    if top and any(sum(cell.__class__ is int for _, cell in row) > 1 for row in nonzero):
-        raise InvalidInputError("top mode: a row holds two nonzero constants")
-    number = dict(zip(names, range(len(names))))
-    order = sorted(range(m), key=lambda r: (len(nonzero[r]), r))
-    rows = [nonzero[r] for r in order]
-    free = [{(1 << m) - 1}]
-    held = 1
-    for row in rows[:-1]:
-        free.append({mask ^ 1 << c for mask in free[-1] for c, _ in row if mask >> c & 1})
-        held += len(free[-1])
-        _check_budget(held, m)
+    m = len(matrix.rows)
+    nonzero = [[(c, cell) for c, cell in enumerate(row) if cell] for row in matrix.rows]
+    variables = [cell for row in nonzero for _, cell in row if cell.__class__ is tuple]
+    names = sorted(variables)  # numbered in this order, so numbers sort as variables do
+    number = {}
+    if variables:
+        number = dict(zip(names, range(len(names))))
+        if len(number) < len(names):
+            raise InvalidInputError("a variable repeats in the matrix")
+    # Each row's cells as (bit, lower bits, rise, multiplier, numbers), stored
+    # reversed for the walk's stack: the row's constant, then its variables
+    # from the right.  A variable raises the degree in top mode only, so full
+    # mode keeps every cell.
+    var_rise = 1 if top else 0
+    cells_of = []
+    for row in nonzero:
+        cells = [(1 << c, (1 << c) - 1, 0, cell, ()) for c, cell in row if cell.__class__ is int]
+        if top and len(cells) > 1:
+            raise InvalidInputError("top mode: a row holds two nonzero constants")
+        cells += [
+            (1 << c, (1 << c) - 1, var_rise, 1, (number[cell],))
+            for c, cell in reversed(row) if cell.__class__ is tuple
+        ]
+        cells_of.append(cells)
+    full = (1 << m) - 1
+    sign, held = 1, 0
+    if top:
+        # Index order, with the column sets built from the last row up: only
+        # those the rows below can fill.
+        rows = cells_of
+        fill = [{0}]
+        for row in reversed(rows):
+            bits = [cell[0] for cell in row]
+            fill.append({mask | bit for mask in fill[-1] for bit in bits if not mask & bit})
+            held += len(fill[-1])
+            _check_budget(held, m)
+        masks_of = fill[:0:-1]  # masks_of[k]: the column sets rows k.. can fill
+    else:
+        # Sparsest first, over every column set the rows above can leave free.
+        rows, lengths = cells_of, [*map(len, cells_of)]
+        if lengths != sorted(lengths):  # rows already sparsest first keep sign 1
+            order = sorted(range(m), key=lengths.__getitem__)  # stable: ties by index
+            rows, seen = [cells_of[r] for r in order], 0
+            for r in order:  # the order's sign: the earlier rows of greater index
+                if (seen >> r).bit_count() & 1:
+                    sign = -sign
+                seen |= 1 << r
+        masks_of, held = [{full}], 1
+        for row in rows[:-1]:
+            bits = [cell[0] for cell in row]
+            masks_of.append({mask ^ bit for mask in masks_of[-1] for bit in bits if mask & bit})
+            held += len(masks_of[-1])
+            _check_budget(held, m)
     # reach[mask]: (best degree of the rows below on mask, completions reaching it,
     # cells (the cells to follow next or None at the end, multiplier, numbers)).
-    # A variable raises the degree in top mode only, so full mode keeps every cell.
-    var_rise = int(top)
     reach: dict[int, tuple] = {0: (0, 1, None)}
-    for row, masks in zip(reversed(rows), reversed(free)):
-        # Each cell once: (bit, lower bits, rise, multiplier, numbers).
-        row_cells = [
-            (1 << c, (1 << c) - 1)
-            + ((0, cell, ()) if isinstance(cell, int) else (var_rise, 1, (number[cell],)))
-            for c, cell in row
-        ]
+    for row, masks in zip(reversed(rows), reversed(masks_of)):
         table = {}
         for mask in masks:
             best, count, cells = -1, 0, []
-            for bit, low, rise, mult, own in row_cells:
+            for bit, low, rise, mult, own in row:
                 if mask & bit:
-                    degree, n, sub = reach[mask ^ bit]
+                    degree, n, sub = reach.get(mask ^ bit, _UNFILLED)
                     degree += rise
                     if not n or degree < best:
                         continue
@@ -235,21 +270,29 @@ def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
             held += count
             _check_budget(held, m)
         reach = table
-    best, _, cells = reach[(1 << m) - 1]
-    leaves: dict[tuple, int] = {}
-    stack = [(cells, _permutation_sign(order), ())]
+    # The walk pops each node's cells in reverse storage order: a row's
+    # variables from the left, then its constant, and leaves in turn.  Top
+    # leaves all have length best, so when the numbers grow row by row each
+    # leaf is a sorted tuple, and a leaf that takes a row's constant, not a
+    # variable there, has a later row's greater number in that place.
+    best, _, cells = reach.get(full, _UNFILLED)
+    pairs: list[tuple[tuple[int, ...], int]] = []
+    leaves: dict[tuple[int, ...], int] = {}
+    stack = [(cells, sign, ())]
     while stack:
         cells, coeff, nums = stack.pop()
-        for sub, mult, own in cells:
-            if sub is None:
-                key = tuple(sorted(nums + own))
-                leaves[key] = leaves.get(key, 0) + coeff * mult
-            else:
-                stack.append((sub, coeff * mult, nums + own))
-    # Squarefree leaves: sorting their number tuples is sorted_terms() order.
-    if top:  # top leaves never merge, so none is zero, and all have the best degree
-        return _value(names, sorted(leaves.items()), best, best)
-    pairs = sorted((k, c) for k, c in leaves.items() if c)
+        if cells is not None:
+            stack += [(sub, coeff * mult, nums + own) for sub, mult, own in cells]
+        elif top:  # top leaves never merge, so none is zero
+            pairs.append((nums, coeff))
+        else:
+            key = tuple(sorted(nums))
+            leaves[key] = leaves.get(key, 0) + coeff
+    if top:
+        if variables != names:  # leaves out of order: sort each, then all
+            pairs = sorted((tuple(sorted(k)), c) for k, c in pairs)
+        return _value(names, pairs, best, best)
+    pairs = sorted([item for item in leaves.items() if item[1]])
     degrees = [len(k) for k, _ in pairs] or [-1]
     return _value(names, pairs, min(degrees), max(degrees))
 
@@ -259,21 +302,3 @@ def _check_budget(held: int, size: int) -> None:
         raise ResourceLimitError(
             f"determinant of size {size} needs more than {MEMO_BUDGET} table entries"
         )
-
-
-def _permutation_sign(perm: Iterable[int]) -> int:
-    perm = list(perm)
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign

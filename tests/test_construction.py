@@ -335,6 +335,15 @@ class TestP1P2:
                 assert len(set(cover.values())) == k
                 assert all(cover[b] in targets_of[b] for b in starts)
 
+    def test_cycle_out_of_reach_of_the_first_start(self):
+        # Start 1 is forced onto 5 and start 0 takes 4, so 0 sends only to 1;
+        # the one alternating cycle, 2 and 3 swapping 6 and 7, is reached
+        # from neither, and a walk from the first start alone would miss it.
+        targets_of = {0: [4, 5], 1: [5], 2: [6, 7], 3: [6, 7]}
+        count, cover = construction._cover([0, 1, 2, 3], targets_of)
+        assert count == backtracking_cover([0, 1, 2, 3], targets_of)[0] == 2
+        assert cover[0] == 4 and cover[1] == 5 and {cover[2], cover[3]} == {6, 7}
+
     def test_long_region_needs_no_recursion(self):
         # 1050 starts: a recursive search overflows the interpreter stack.
         t = T(30, *[31] * 34, 30)

@@ -92,6 +92,51 @@ def large_guarded_matrices() -> list[SymbolicMatrix]:
     return out
 
 
+def row_monotone_matrices() -> list[tuple[SymbolicMatrix, str]]:
+    """Seeded guarded matrices of sizes 1 to 8, each with where its rows put
+    their constant.  Read row by row from the left, the variables are
+    sorted, as in a generic minor, so top mode's walk emits its leaves in
+    order; the variables' first index is not the row.  A row's constant
+    lies left of, right of or between its variables ("left", "right",
+    "between"), one in seven rows is zero ("zero"), and a fifth of the
+    matrices give two rows the same single column ("unmatched"), so no
+    permutation survives."""
+    rng = random.Random(6173)
+    out = []
+    for _ in range(240):
+        size = rng.randint(1, 8)
+        kinds, rows = set(), []
+        for _ in range(size):
+            row: list = [0] * size  # None marks a variable, named below
+            if rng.random() < 1 / 7:
+                kinds.add("zero")
+                rows.append(row)
+                continue
+            cols = sorted(rng.sample(range(size), rng.randint(1, min(size, 4))))
+            if rng.random() < 0.6:
+                k = rng.randrange(len(cols))
+                if len(cols) > 1:
+                    kinds.add("left" if k == 0 else "right" if k == len(cols) - 1 else "between")
+                row[cols.pop(k)] = rng.choice((-3, -2, -1, 1, 2, 5))
+            for c in cols:
+                row[c] = None
+            rows.append(row)
+        if size > 1 and rng.random() < 1 / 5:
+            kinds.add("unmatched")
+            a, b = rng.sample(range(size), 2)
+            c = rng.randrange(size)
+            rows[a], rows[b] = [0] * size, [0] * size
+            rows[a][c] = rows[b][c] = None
+        name = 0
+        for row in rows:
+            for c, cell in enumerate(row):
+                if cell is None:
+                    name += rng.randint(1, 3)
+                    row[c] = divmod(name, 7)
+        out.append((SymbolicMatrix(tuple(map(tuple, rows))), ",".join(sorted(kinds))))
+    return out
+
+
 def merging_matrices() -> list[SymbolicMatrix]:
     """Seeded sparse matrices of sizes 2 to 7 whose rows hold several
     constants, with distinct variables drawn at random, so that permutations
@@ -455,7 +500,25 @@ class TestDet:
     def test_top_mode_terms_come_sorted(self):
         for m in [*small_guarded_matrices(), *large_guarded_matrices()]:
             p = det(m, top=True)
-            assert list(p.terms.items()) == p.sorted_terms()
+            assert p.sorted_terms() == sorted(p.terms.items())
+
+    def test_top_mode_sorted_walk_matches_permutation_expansion(self):
+        # Matrices whose variables follow their rows take top mode's sorted
+        # walk: each value's terms, order and string match the oracle's.
+        seen = {"left": 0, "right": 0, "between": 0, "zero": 0, "unmatched": 0, "nonzero": 0}
+        for m, kind in row_monotone_matrices():
+            variables = [cell for row in m.rows for cell in row if isinstance(cell, tuple)]
+            assert variables == sorted(variables)
+            full = det_permutation_expansion(m)
+            expected = full if full.is_zero() else full.top_term()
+            p = det(m, top=True)
+            assert p == expected
+            assert p.sorted_terms() == list(p.terms.items()) == sorted(expected.terms.items())
+            assert p.to_string() == to_string_fstrings(expected)
+            for name in kind.split(",") if kind else ():
+                seen[name] += 1
+            seen["nonzero"] += not p.is_zero()
+        assert min(seen.values()) >= 10, seen
 
     def test_top_mode_degree_and_top_term_match_a_fresh_value(self):
         # A value of either mode renders and grades from its numbered form;

@@ -604,7 +604,7 @@ class TestBattery:
         assert outer["degree_observed"] == outer["degree_formula"] == 12
 
     def test_memo_budget_records_skip(self, monkeypatch):
-        # Pair (1,4) of 1,2,2,1 tabulates 38 entries for the top-degree
+        # Pair (1,4) of 1,2,2,1 tabulates 36 entries for the top-degree
         # expansion of its generic minor (54 in full), its restriction 10,
         # its nilfibre 5, and pair (2,3) at most 7.
         monkeypatch.setattr(poly, "MEMO_BUDGET", 20)
