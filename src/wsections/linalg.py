@@ -18,14 +18,16 @@ from .errors import InvalidInputError
 def rank_int(rows: Iterable[dict[int, int]]) -> int:
     """Rank over the rationals by sparse fraction-free row reduction on integers.
 
-    Rows are {column: coefficient} dicts whose columns and entries are ints
-    (a bool is not).  Before any reduction every row is checked to be a
-    dict, then every column and entry to be an int; the first failure in
-    row order raises InvalidInputError.  Each row is reduced, on a copy,
-    against the pivot at its leading column (r <- a*r - b*pivot, then
-    divided by its content; neither for a pivot of +-1) until it becomes a
-    new pivot or vanishes.
+    Rows are an iterable of {column: coefficient} dicts whose columns and
+    entries are ints (a bool is not).  Before any reduction the rows are
+    checked to be iterable, each to be a dict, then every column and entry
+    to be an int; the first failure in row order raises InvalidInputError.
+    Each row is reduced, on a copy, against the pivot at its leading column
+    (r <- a*r - b*pivot, then divided by its content; neither for a pivot
+    of +-1) until it becomes a new pivot or vanishes.
     """
+    if not isinstance(rows, Iterable):
+        raise InvalidInputError(f"rank_int takes an iterable of dict rows, got {rows!r}")
     table = list(rows)
     for row in table:
         if not isinstance(row, dict):

@@ -14,10 +14,11 @@ nothing truncates: exactness is the contract.
 
 Determinants of matrices whose entries are integers or single variables have
 one engine at every size and in both modes: a sparse Laplace expansion
-tabulated over sets of columns, where each set records how many completions
-reach it and the cells that lead there, then a walk along those cells whose
-leaves are the permutations' signed monomials.  Full mode expands the rows
-sparsest first, keeps every cell and sums the leaves that share a monomial.
+tabulated over sets of columns, where each row's table is pushed from the
+table below and each set records how many completions reach it and the
+cells that lead there, then a walk along those cells whose leaves are the
+permutations' signed monomials.  Full mode expands the rows sparsest first,
+keeps every cell and sums the leaves that share a monomial.
 Top mode, which the generic invariants use, expands the rows in index order
 and keeps only the cells of top degree, and its leaves never merge: it is
 exact when no two permutations share a monomial, which it checks first.
@@ -37,8 +38,6 @@ Var = tuple[int, int]
 Monomial = tuple[tuple[Var, int], ...]
 Entry = Union[int, Var]
 
-_ONE: Monomial = ()
-
 
 class Polynomial:
     """Squarefree integer polynomial in x[i,j] variables, read but never combined.
@@ -47,7 +46,8 @@ class Polynomial:
     with its coefficient, sorted (numbers sort as the variables do, so this
     is sorted_terms() order), and the least and greatest degree.  Only det
     builds one; there is no public constructor.  Every reading but terms
-    uses the form alone; terms builds the monomial dict once and keeps it."""
+    uses the form alone; terms builds the monomial dict once and keeps it.
+    Two values compare, and hash, by identity: compare their terms."""
 
     __slots__ = ("_vars", "_pairs", "_low", "_high", "_terms")
 
@@ -64,13 +64,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self._pairs
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Polynomial):
-            return self.terms == other.terms
-        if isinstance(other, int):
-            return self.terms == ({_ONE: other} if other else {})
-        return NotImplemented
 
     def degree(self) -> int:
         """Maximal total degree; -1 for the zero polynomial."""
@@ -153,19 +146,20 @@ class SymbolicMatrix:
 
 
 MEMO_BUDGET = 1 << 20  # column sets plus completions one determinant may tabulate
-_UNFILLED = (-1, 0, ())  # a column set the rows below cannot fill
 
 
 def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
     """Exact symbolic determinant by sparse Laplace expansion.
 
-    From the last row up, each set of columns the rows below may fill
-    records how many completions those rows have on it and the cells that
-    lead there; a cell whose next column set has a single cell takes that
-    forced step at once.  A walk on an explicit stack then follows the cells
-    from the full column set, and each leaf is one permutation's signed
-    monomial.  Raises ResourceLimitError once the column sets and
-    completions tabulated for this determinant exceed MEMO_BUDGET.
+    From the last row up, each of a row's cells, in storage order, extends
+    every column set of the table below that lacks its column.  So each set
+    the rows below can fill records how many completions those rows have on
+    it and the cells that lead there, in storage order; a cell whose set
+    below has a single cell takes that forced step at once.  A walk on an
+    explicit stack then follows the cells from the full column set, and
+    each leaf is one permutation's signed monomial.  Raises
+    ResourceLimitError once the column sets and completions tabulated for
+    this determinant exceed MEMO_BUDGET.
 
     The matrix's variables must be distinct, so every monomial is
     squarefree; a repeated variable raises InvalidInputError in either mode.
@@ -174,22 +168,22 @@ def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
     tuples with their nonzero coefficients, and the least and greatest leaf
     length as the degrees (-1 when no term survives).
 
-    Full mode expands the rows sparsest first, over every column set the
-    rows above can leave free, and keeps every cell with a completion, so
-    the completions count permutations.  Leaves that share a monomial are
-    summed and zeros dropped: cancellation stays exact.
+    Full mode expands the rows sparsest first, keeps only the column sets
+    the rows above can leave free, and keeps every cell, so the completions
+    count permutations.  Leaves that share a monomial are summed and zeros
+    dropped: cancellation stays exact.
 
     With top=True only the homogeneous component of maximal total degree is
     expanded: each column set also records its rows' best degree and keeps
     only the tight cells, those that reach it, and their completions.  Its
     leaves must never merge, so top mode first checks that no row holds two
     nonzero constants, and raises InvalidInputError otherwise.  It expands
-    the rows in index order, over only the column sets the rows below can
-    fill, and walks each row's variables from the left, then its constant.
-    All its leaves have one degree, so when the matrix's variables, read row
-    by row from the left, are already sorted, the leaves come out in
-    sorted_terms() order and neither a leaf nor the leaves are sorted;
-    otherwise each leaf and then all of them are sorted once.
+    the rows in index order and walks each row's variables from the left,
+    then its constant.  All its leaves have one degree, so when the
+    matrix's variables, read row by row from the left, are already sorted,
+    the leaves come out in sorted_terms() order and neither a leaf nor the
+    leaves are sorted; otherwise each leaf and then all of them are sorted
+    once.
     """
     m = len(matrix.rows)
     nonzero = [[(c, cell) for c, cell in enumerate(row) if cell] for row in matrix.rows]
@@ -216,21 +210,10 @@ def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
         ]
         cells_of.append(cells)
     full = (1 << m) - 1
-    sign, held = 1, 0
-    if top:
-        # Index order, with the column sets built from the last row up: only
-        # those the rows below can fill.
-        rows = cells_of
-        fill = [{0}]
-        for row in reversed(rows):
-            bits = [cell[0] for cell in row]
-            fill.append({mask | bit for mask in fill[-1] for bit in bits if not mask & bit})
-            held += len(fill[-1])
-            _check_budget(held, m)
-        masks_of = fill[:0:-1]  # masks_of[k]: the column sets rows k.. can fill
-    else:
-        # Sparsest first, over every column set the rows above can leave free.
-        rows, lengths = cells_of, [*map(len, cells_of)]
+    rows, sign, held, keep_of = cells_of, 1, 0, [None] * m
+    if not top:
+        # Sparsest first, keeping only the column sets the rows above can leave free.
+        lengths = [*map(len, cells_of)]
         if lengths != sorted(lengths):  # rows already sparsest first keep sign 1
             order = sorted(range(m), key=lengths.__getitem__)  # stable: ties by index
             rows, seen = [cells_of[r] for r in order], 0
@@ -238,44 +221,53 @@ def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
                 if (seen >> r).bit_count() & 1:
                     sign = -sign
                 seen |= 1 << r
-        masks_of, held = [{full}], 1
+        keep_of, held = [{full}], 1
         for row in rows[:-1]:
             bits = [cell[0] for cell in row]
-            masks_of.append({mask ^ bit for mask in masks_of[-1] for bit in bits if mask & bit})
-            held += len(masks_of[-1])
+            keep_of.append({mask ^ bit for mask in keep_of[-1] for bit in bits if mask & bit})
+            held += len(keep_of[-1])
             _check_budget(held, m)
-    # reach[mask]: (best degree of the rows below on mask, completions reaching it,
-    # cells (the cells to follow next or None at the end, multiplier, numbers)).
-    reach: dict[int, tuple] = {0: (0, 1, None)}
-    for row, masks in zip(reversed(rows), reversed(masks_of)):
-        table = {}
-        for mask in masks:
-            best, count, cells = -1, 0, []
-            for bit, low, rise, mult, own in row:
-                if mask & bit:
-                    degree, n, sub = reach.get(mask ^ bit, _UNFILLED)
-                    degree += rise
-                    if not n or degree < best:
+    # reach[mask]: [best degree of the rows below on mask, completions reaching it,
+    # cells (the cells to follow next or None at the end, multiplier, numbers)].
+    # Top mode counts a column set when first pushed, full mode above.  A
+    # later, tighter cell may drop completions, so they count once a row is done.
+    reach: dict[int, list] = {0: [0, 1, None]}
+    for row, keep in zip(reversed(rows), reversed(keep_of)):
+        table: dict[int, list] = {}
+        count = 0
+        for bit, low, rise, mult, own in row:
+            for below, (degree, n, sub) in reach.items():
+                mask = below | bit
+                if mask == below or keep is not None and mask not in keep:
+                    continue
+                degree += rise
+                entry = table.get(mask)
+                if entry is None:
+                    entry = table[mask] = [degree, 0, []]
+                    held += top
+                elif degree != entry[0]:
+                    if degree < entry[0]:
                         continue
-                    if degree > best:
-                        best, count, cells = degree, 0, []
-                    if sub and len(sub) == 1:  # a forced step below: take it here
-                        sub, sub_mult, sub_own = sub[0]
-                        mult, own = mult * sub_mult, own + sub_own
-                    # Moving column c to the front passes the free columns below it.
-                    odd = (mask & low).bit_count() & 1
-                    cells.append((sub, -mult if odd else mult, own))
-                    count += n
-            table[mask] = best, count, cells
-            held += count
+                    count -= entry[1]
+                    entry[:] = degree, 0, []
+                step, step_own = mult, own
+                if sub and len(sub) == 1:  # a forced step below: take it here
+                    sub, sub_mult, sub_own = sub[0]
+                    step, step_own = mult * sub_mult, own + sub_own
+                # Moving column c to the front passes the free columns below it.
+                entry[2].append((sub, -step if (below & low).bit_count() & 1 else step, step_own))
+                entry[1] += n
+                count += n
             _check_budget(held, m)
+        held += count
+        _check_budget(held, m)
         reach = table
     # The walk pops each node's cells in reverse storage order: a row's
     # variables from the left, then its constant, and leaves in turn.  Top
     # leaves all have length best, so when the numbers grow row by row each
     # leaf is a sorted tuple, and a leaf that takes a row's constant, not a
     # variable there, has a later row's greater number in that place.
-    best, _, cells = reach.get(full, _UNFILLED)
+    best, _, cells = reach.get(full, (-1, 0, []))
     pairs: list[tuple[tuple[int, ...], int]] = []
     leaves: dict[tuple[int, ...], int] = {}
     stack = [(cells, sign, ())]

@@ -67,6 +67,8 @@ class Composition:
         being converted: no tableau holds it, and a long enough digit string
         cannot be converted to an int at all.
         """
+        if not isinstance(text, str):
+            raise InvalidInputError(f"cannot parse composition from {text!r}")
         pieces = [piece.strip() for piece in text.split(",")]
         if not all(piece.isascii() and piece.isdigit() for piece in pieces):
             raise InvalidInputError(f"cannot parse composition from {text!r}")

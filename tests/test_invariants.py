@@ -383,7 +383,7 @@ class TestNilfibreIsConstantTerm:
         for pair in t.neighboring_pairs:
             ms = build_minor(t, pair)
             value = invariants._specialise(ms, e_keys, set())
-            assert value == restrict_to_section(ms, sec).terms.get((), 0)
+            assert lift(restrict_to_section(ms, sec).terms.get((), 0)) == value
             count += not value.is_zero()
         return count
 
@@ -431,7 +431,7 @@ class TestGenericInvariant:
             t = T(*parts)
             for pair in t.neighboring_pairs:
                 m = build_minor(t, pair).matrix
-                assert det(m, top=True) == det(m).top_term()
+                assert det(m, top=True).terms == det(m).top_term().terms
 
     def test_top_mode_values_are_sorted_and_graded(self):
         # Top mode emits its terms in sorted_terms() order and records the
@@ -450,7 +450,7 @@ class TestGenericInvariant:
         # of this minor tabulates about 280,000 entries.
         ms = build_minor(T(2, 3, 3, 3, 3, 2), NeighborPair(1, 6, 2))
         assert ms.size == 14
-        assert det(ms.matrix, top=True) == det(ms.matrix).top_term()
+        assert det(ms.matrix, top=True).terms == det(ms.matrix).top_term().terms
 
     def test_top_mode_budget_thresholds(self, monkeypatch):
         # The least MEMO_BUDGET each top-degree expansion fits: column sets
@@ -497,7 +497,7 @@ class TestGenericInvariant:
         for bound in ("8", True, 1.5, 0, -3):
             with pytest.raises(InvalidInputError):
                 generic_invariant(ms, bound)
-        assert generic_invariant(ms, 1) == generic_invariant(ms, None) == X(3, 4)
+        assert generic_invariant(ms, 1).terms == generic_invariant(ms, None).terms == X(3, 4).terms
 
     def test_matches_permutation_oracle(self):
         for parts in [(2, 1, 1, 2), (1, 2, 2, 1), (2, 3, 2)]:

@@ -35,9 +35,10 @@ class TestComposition:
         assert Composition.parse(" 3 , 2 ").parts == (3, 2)
 
     @pytest.mark.parametrize(
-        "bad", ["", "2,0,1", "a,b", "1,-2", "2,,1", "1_0", "+3", "2,\u0663", "\uff12"]
+        "bad", ["", "2,0,1", "a,b", "1,-2", "2,,1", "1_0", "+3", "2,\u0663", "\uff12", None, 5, b"2,1"]
     )
     def test_parse_rejects(self, bad):
+        # Text only: None and 5 used to end in AttributeError, bytes in TypeError.
         with pytest.raises(InvalidInputError):
             Composition.parse(bad)
 

@@ -128,6 +128,9 @@ class TestLinalg:
         for rows in ([5], [None], [{0: 1}, 7], [[1, 2]], [(0, 1)], [MappingProxyType({0: 1})]):
             with pytest.raises(InvalidInputError, match="dict rows only"):
                 rank_int(rows)
+        for rows in (None, 5):  # used to end in TypeError
+            with pytest.raises(InvalidInputError, match="an iterable of dict rows"):
+                rank_int(rows)
         for rows in (
             [{"a": 1, 1: 2}],
             [{True: 1}],
