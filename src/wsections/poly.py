@@ -17,11 +17,11 @@ one engine at every size and in both modes: a sparse Laplace expansion
 tabulated over sets of columns, where each row's table is pushed from the
 table below and each set records how many completions reach it and the
 cells that lead there, then a walk along those cells whose leaves are the
-permutations' signed monomials.  Full mode expands the rows sparsest first,
-keeps every cell and sums the leaves that share a monomial.
-Top mode, which the generic invariants use, expands the rows in index order
-and keeps only the cells of top degree, and its leaves never merge: it is
-exact when no two permutations share a monomial, which it checks first.
+permutations' signed monomials.  Both modes expand the rows in index order.
+Full mode keeps every cell and sums the leaves that share a monomial.
+Top mode, which the generic invariants use, keeps only the cells of top
+degree, and its leaves never merge: it is exact when no two permutations
+share a monomial, which it checks first.
 When the variables' numbers grow row by row, as in every generic minor, its
 leaves come out already sorted.  Both modes fill the value's form from their
 leaves.  A determinant whose column sets and completions would outgrow
@@ -151,15 +151,16 @@ MEMO_BUDGET = 1 << 20  # column sets plus completions one determinant may tabula
 def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
     """Exact symbolic determinant by sparse Laplace expansion.
 
-    From the last row up, each of a row's cells, in storage order, extends
-    every column set of the table below that lacks its column.  So each set
-    the rows below can fill records how many completions those rows have on
-    it and the cells that lead there, in storage order; a cell whose set
-    below has a single cell takes that forced step at once.  A walk on an
-    explicit stack then follows the cells from the full column set, and
-    each leaf is one permutation's signed monomial.  Raises
-    ResourceLimitError once the column sets and completions tabulated for
-    this determinant exceed MEMO_BUDGET.
+    Both modes expand the rows in index order.  From the last row up, each
+    of a row's cells, in storage order, extends every column set of the
+    table below that lacks its column.  So each set the rows below can fill
+    records how many completions those rows have on it and the cells that
+    lead there, in storage order; a cell whose set below has a single cell
+    takes that forced step at once.  A walk on an explicit stack then
+    follows the cells from the full column set, and each leaf is one
+    permutation's signed monomial.  Raises ResourceLimitError once the
+    column sets and completions tabulated for this determinant exceed
+    MEMO_BUDGET.
 
     The matrix's variables must be distinct, so every monomial is
     squarefree; a repeated variable raises InvalidInputError in either mode.
@@ -168,22 +169,20 @@ def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
     tuples with their nonzero coefficients, and the least and greatest leaf
     length as the degrees (-1 when no term survives).
 
-    Full mode expands the rows sparsest first, keeps only the column sets
-    the rows above can leave free, and keeps every cell, so the completions
-    count permutations.  Leaves that share a monomial are summed and zeros
-    dropped: cancellation stays exact.
+    Full mode keeps only the column sets the rows above can leave free, and
+    keeps every cell, so the completions count permutations.  Leaves that
+    share a monomial are summed and zeros dropped: cancellation stays exact.
 
     With top=True only the homogeneous component of maximal total degree is
     expanded: each column set also records its rows' best degree and keeps
     only the tight cells, those that reach it, and their completions.  Its
     leaves must never merge, so top mode first checks that no row holds two
-    nonzero constants, and raises InvalidInputError otherwise.  It expands
-    the rows in index order and walks each row's variables from the left,
-    then its constant.  All its leaves have one degree, so when the
-    matrix's variables, read row by row from the left, are already sorted,
-    the leaves come out in sorted_terms() order and neither a leaf nor the
-    leaves are sorted; otherwise each leaf and then all of them are sorted
-    once.
+    nonzero constants, and raises InvalidInputError otherwise.  It walks
+    each row's variables from the left, then its constant.  All its leaves
+    have one degree, so when the matrix's variables, read row by row from
+    the left, are already sorted, the leaves come out in sorted_terms()
+    order and neither a leaf nor the leaves are sorted; otherwise each leaf
+    and then all of them are sorted once.
     """
     m = len(matrix.rows)
     nonzero = [[(c, cell) for c, cell in enumerate(row) if cell] for row in matrix.rows]
@@ -210,19 +209,10 @@ def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
         ]
         cells_of.append(cells)
     full = (1 << m) - 1
-    rows, sign, held, keep_of = cells_of, 1, 0, [None] * m
-    if not top:
-        # Sparsest first, keeping only the column sets the rows above can leave free.
-        lengths = [*map(len, cells_of)]
-        if lengths != sorted(lengths):  # rows already sparsest first keep sign 1
-            order = sorted(range(m), key=lengths.__getitem__)  # stable: ties by index
-            rows, seen = [cells_of[r] for r in order], 0
-            for r in order:  # the order's sign: the earlier rows of greater index
-                if (seen >> r).bit_count() & 1:
-                    sign = -sign
-                seen |= 1 << r
+    held, keep_of = 0, [None] * m
+    if not top:  # keep only the column sets the rows above can leave free
         keep_of, held = [{full}], 1
-        for row in rows[:-1]:
+        for row in cells_of[:-1]:
             bits = [cell[0] for cell in row]
             keep_of.append({mask ^ bit for mask in keep_of[-1] for bit in bits if mask & bit})
             held += len(keep_of[-1])
@@ -232,7 +222,7 @@ def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
     # Top mode counts a column set when first pushed, full mode above.  A
     # later, tighter cell may drop completions, so they count once a row is done.
     reach: dict[int, list] = {0: [0, 1, None]}
-    for row, keep in zip(reversed(rows), reversed(keep_of)):
+    for row, keep in zip(reversed(cells_of), reversed(keep_of)):
         table: dict[int, list] = {}
         count = 0
         for bit, low, rise, mult, own in row:
@@ -270,7 +260,7 @@ def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
     best, _, cells = reach.get(full, (-1, 0, []))
     pairs: list[tuple[tuple[int, ...], int]] = []
     leaves: dict[tuple[int, ...], int] = {}
-    stack = [(cells, sign, ())]
+    stack = [(cells, 1, ())]
     while stack:
         cells, coeff, nums = stack.pop()
         if cells is not None:

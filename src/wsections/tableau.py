@@ -164,11 +164,6 @@ class Tableau:
         return tuple((i, j) for col in self.columns for i in col for j in range(col[-1] + 1, n + 1))
 
     @cached_property
-    def nilradical(self) -> tuple[MatrixUnit, ...]:
-        """All matrix units of the nilradical, ordered by (i, j); built once."""
-        return tuple(MatrixUnit(i, j) for i, j in self.nilradical_keys)
-
-    @cached_property
     def neighboring_pairs(self) -> tuple[NeighborPair, ...]:
         """All pairs of equal-height columns with no column of that height
         between, ordered by (height, left column); built once.  Columns of
@@ -195,7 +190,7 @@ def require_neighboring(t: Tableau, p: NeighborPair) -> None:
 
 def nilradical_basis(t: Tableau) -> tuple[MatrixUnit, ...]:
     """All matrix units of the nilradical, ordered by (i, j)."""
-    return t.nilradical
+    return tuple(MatrixUnit(i, j) for i, j in t.nilradical_keys)
 
 
 def bs_degree(t: Tableau, p: NeighborPair) -> int:

@@ -220,7 +220,7 @@ class TestVerify:
         assert "FAIL" in out and "density" in out
 
     def test_restriction_over_memo_budget_exit_1(self, capsys, tmp_path, monkeypatch):
-        # Pair (1,4) of 1,2,2,1 restricts through 10 table entries.
+        # Pair (1,4) of 1,2,2,1 restricts through 12 table entries.
         monkeypatch.setattr(poly, "MEMO_BUDGET", 9)
         code, _, err = run(["verify", "-c", "1,2,2,1", "-o", str(tmp_path)], capsys)
         assert code == 1 and err.startswith("error: determinant of size 5")

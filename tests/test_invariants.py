@@ -18,7 +18,7 @@ from helpers import (
     substitute,
     to_string_fstrings,
 )
-from wsections import invariants, poly
+from wsections import construction, invariants, poly
 from wsections.construction import Section, extract_section, step1, step2, step3, verify_P1
 from wsections.errors import (
     InvalidInputError,
@@ -403,6 +403,46 @@ class TestNilfibreIsConstantTerm:
         assert nonzero > 0
 
 
+class TestRowOrderRegime:
+    def test_restrictions_nilfibres_and_p1_match_oracles(self, monkeypatch):
+        # Mid-size compositions, n uniform in [13, 30] and parts 1..4, drawn
+        # here without the package: restriction and nilfibre minors of size
+        # 13 and up, most of whose rows are not sparsest first, so a sign or
+        # a completion lost to the row order shows against the oracles.
+        rng = random.Random(20261022)
+        sizes, unsorted = [], 0
+
+        def checked_det(matrix):
+            nonlocal unsorted
+            lengths = [sum(1 for cell in row if cell) for row in matrix.rows]
+            sizes.append(matrix.size)
+            unsorted += lengths != sorted(lengths)
+            got = det(matrix)
+            assert got == det_fraction_free(matrix), matrix.rows
+            return got
+
+        monkeypatch.setattr(invariants, "det", checked_det)
+        families = []
+        for _ in range(100):
+            parts, left = [], rng.randint(13, 30)
+            while left:
+                parts.append(rng.randint(1, min(4, left)))
+                left -= parts[-1]
+            t = T(*parts)
+            ls3 = step3(step2(step1(t)))
+            sec = extract_section(ls3)
+            for pair in t.neighboring_pairs:
+                ms = build_minor(t, pair)
+                section_coordinate(ms, sec)
+                restrict_to_E(ms, sec)
+                families.append((parts, ls3, pair, verify_P1(ls3, pair)))
+        monkeypatch.setattr(construction, "_cover", backtracking_cover)
+        for parts, ls3, pair, family in families:
+            assert verify_P1(ls3, pair) == family, (parts, pair)
+        assert len(sizes) == 1180 and max(sizes) == 26
+        assert sum(size >= 13 for size in sizes) == 84 and unsorted == 714
+
+
 class TestGenericInvariant:
     def test_1221_displayed_polynomials(self):
         t = T(1, 2, 2, 1)
@@ -447,7 +487,7 @@ class TestGenericInvariant:
 
     def test_top_mode_matches_full_expansion_at_size_14(self):
         # Beyond the fraction-free oracle's reach; the full Laplace expansion
-        # of this minor tabulates about 280,000 entries.
+        # of this minor tabulates about 185,000 entries.
         ms = build_minor(T(2, 3, 3, 3, 3, 2), NeighborPair(1, 6, 2))
         assert ms.size == 14
         assert det(ms.matrix, top=True).terms == det(ms.matrix).top_term().terms
@@ -465,6 +505,18 @@ class TestGenericInvariant:
             monkeypatch.setattr(poly, "MEMO_BUDGET", threshold - 1)
             with pytest.raises(ResourceLimitError, match="more than"):
                 det(matrix, top=True)
+
+    def test_full_mode_budget_thresholds(self, monkeypatch):
+        # The least MEMO_BUDGET each full expansion of pair (1,4) of 1,2,2,1
+        # fits, rows in index order: forward column sets plus completions.
+        t = T(1, 2, 2, 1)
+        ms, sec = build_minor(t, NeighborPair(1, 4, 1)), section_of(t)
+        for evaluate, threshold in ((restrict_to_section, 12), (restrict_to_E, 4)):
+            monkeypatch.setattr(poly, "MEMO_BUDGET", threshold)
+            evaluate(ms, sec)
+            monkeypatch.setattr(poly, "MEMO_BUDGET", threshold - 1)
+            with pytest.raises(ResourceLimitError, match="more than"):
+                evaluate(ms, sec)
 
     def test_renderer_matches_fstring_oracle(self):
         for parts in compositions_upto(8):

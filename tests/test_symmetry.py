@@ -6,7 +6,8 @@ neighboring pair (v, v') of c to (r+1-v', r+1-v) of reversed(c).  So each
 generic invariant maps onto its partner's up to one global sign, and the two
 reports agree on every reading the map keeps, with the two separation modes
 swapped.  No permutation-expansion oracle reaches the palindromic minors of
-size 14 checked here; the map fixes them.
+size 14 checked here; the map fixes them.  The two checks take n_max: the
+tests run them to n <= 9, and CI to n <= 11.
 """
 from helpers import compositions_upto
 
@@ -42,20 +43,25 @@ def partner(pair, r: int) -> tuple[int, int]:
     return r + 1 - vp, r + 1 - v
 
 
-def test_generic_invariants_map_onto_their_partners_up_to_sign():
+def invariants_map_onto_partners(n_max: int) -> int:
+    """Check every generic invariant with n <= n_max against its partner's;
+    return how many were checked."""
     checked = 0
-    for parts in compositions_upto(9):
+    for parts in compositions_upto(n_max):
         n, r = sum(parts), len(parts)
         mine, theirs = invariant_terms(parts), invariant_terms(parts[::-1])
         assert sorted(partner(pair, r) for pair in mine) == sorted(theirs), parts
         for pair, terms in mine.items():
             assert same_up_to_sign(reflect(terms, n), theirs[partner(pair, r)]), (parts, pair)
             checked += 1
-    assert checked == 1079
+    return checked
 
 
-def test_reports_of_reversed_compositions_agree():
-    reports = {parts: verify_composition(parts) for parts in compositions_upto(9)}
+def reversed_reports_agree(n_max: int) -> int:
+    """Check the report of every composition with n <= n_max against its
+    reverse's; return how many were compared.  A bound of n_max expands
+    every generic minor, so each degree is observed."""
+    reports = {parts: verify_composition(parts, n_max) for parts in compositions_upto(n_max)}
     for parts, report in reports.items():
         other, r = reports[parts[::-1]], len(parts)
         for key in ("pass", "g", "dim_m", "lines", "density"):
@@ -68,6 +74,15 @@ def test_reports_of_reversed_compositions_agree():
         assert len(report["pairs"]) == len(other["pairs"])
         assert report["separation"]["rightmost"] == other["separation"]["leftmost"], parts
         assert report["separation"]["leftmost"] == other["separation"]["rightmost"], parts
+    return len(reports)
+
+
+def test_generic_invariants_map_onto_their_partners_up_to_sign():
+    assert invariants_map_onto_partners(9) == 1079
+
+
+def test_reports_of_reversed_compositions_agree():
+    assert reversed_reports_agree(9) == 511
 
 
 def test_palindromic_large_minors_are_fixed_up_to_sign():

@@ -9,6 +9,7 @@ from helpers import (
     in_nilradical,
     nilradical_by_definition,
 )
+from wsections import verify
 from wsections.errors import InvalidInputError, ResourceLimitError
 from wsections.tableau import (
     Composition,
@@ -164,9 +165,12 @@ class TestNilradical:
         assert nilradical_basis(T(1, 1)) == (MatrixUnit(1, 2),)
         assert nilradical_basis(T(4)) == ()
 
-    def test_basis_built_once_per_tableau(self):
-        t = T(3, 1, 2)
-        assert nilradical_basis(t) is nilradical_basis(t)
+    def test_basis_built_once_per_composition(self, monkeypatch):
+        # The battery builds the units once, to count them; nothing caches them.
+        calls = []
+        monkeypatch.setattr(verify, "nilradical_basis", lambda t: calls.append(t) or nilradical_basis(t))
+        report = verify.verify_composition((3, 1, 2))
+        assert len(calls) == 1 and report["dim_m"] == 11
 
     def test_basis_matches_definition_exhaustive(self):
         for parts in compositions_upto(10):
@@ -183,7 +187,7 @@ class TestNilradical:
             last = {v: max(e for e, w in enumerate(cols, start=1) if w == v) for v in set(cols)}
             assert t.column_end[1:] == tuple(last[v] for v in cols)
             assert t.nilradical_keys == tuple(u.key for u in nilradical_by_definition(t))
-            assert t.nilradical_keys == tuple(u.key for u in t.nilradical)
+            assert t.nilradical_keys == tuple(u.key for u in nilradical_basis(t))
 
     def test_dimension_formula_exhaustive(self):
         # dim m == (n^2 - sum n_i^2) / 2

@@ -608,8 +608,8 @@ class TestBattery:
 
     def test_memo_budget_records_skip(self, monkeypatch):
         # Pair (1,4) of 1,2,2,1 tabulates 36 entries for the top-degree
-        # expansion of its generic minor (54 in full), its restriction 10,
-        # its nilfibre 5, and pair (2,3) at most 7.
+        # expansion of its generic minor (60 in full), its restriction 12,
+        # its nilfibre 4, and pair (2,3) at most 7.
         monkeypatch.setattr(poly, "MEMO_BUDGET", 20)
         report = verify_composition((1, 2, 2, 1), 8)
         assert report["skipped"] == ["pair (1,4) size 5"]
