@@ -4,7 +4,6 @@ adjoint action of block upper-triangular groups on their nilradicals."""
 from .construction import (
     LEFTMOST,
     RIGHTMOST,
-    CompositeFamily,
     Line,
     LineSet,
     Section,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Composition",
-    "CompositeFamily",
     "LEFTMOST",
     "Line",
     "LineSet",

@@ -47,6 +47,15 @@ def _write_report(out_dir: str, name: str, payload: dict) -> Path:
     return _write_text(out_dir, name, _dump_json(payload))
 
 
+# construct's --format name -> (renderer of a line set, extension of the -o file)
+FORMATS = {
+    "ascii": (render.render_ascii, "txt"),
+    "json": (lambda ls: _dump_json(lineset_to_json(ls)), "json"),
+    "tikz": (render.render_tikz, "tex"),
+    "svg": (render.render_svg, "svg"),
+}
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
     comp = Composition.parse(args.composition)
     t = Tableau(comp)
@@ -55,17 +64,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
         ls = step2(ls, args.mode)
     if args.stage >= 3:
         ls = step3(ls)
-    if args.format == "ascii":
-        text = render.render_ascii(ls)
-    elif args.format == "json":
-        text = _dump_json(lineset_to_json(ls))
-    elif args.format == "tikz":
-        text = render.render_tikz(ls)
-    else:
-        text = render.render_svg(ls)
+    renderer, ext = FORMATS[args.format]
+    text = renderer(ls)
     sys.stdout.write(text)
     if args.out_dir:
-        ext = {"ascii": "txt", "json": "json", "tikz": "tex", "svg": "svg"}[args.format]
         name = f"construct-{'-'.join(map(str, comp.parts))}-stage{args.stage}.{ext}"
         _write_text(args.out_dir, name, text)
     return 0
@@ -90,8 +92,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.n_max > SWEEP_N_MAX:
         raise InvalidInputError(f"--n-max is capped at {SWEEP_N_MAX} for exhaustive sweeps")
     rows = []
-    failures = 0
-    skipped_total = 0
     for n in range(1, args.n_max + 1):
         for parts in compositions(n):
             report = verify_composition(parts, args.det_size_bound)
@@ -105,8 +105,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     "skipped": report["skipped"],
                 }
             )
-            failures += 0 if report["pass"] else 1
-            skipped_total += len(report["skipped"])
+    failures = sum(not row["pass"] for row in rows)
+    skipped_total = sum(len(row["skipped"]) for row in rows)
     payload = {
         "schema": REPORT_SCHEMA,
         "n_max": args.n_max,
@@ -138,9 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("-c", "--composition", required=True)
     p_construct.add_argument("--mode", choices=["leftmost", "rightmost"], default="rightmost")
     p_construct.add_argument("--stage", type=int, choices=[1, 2, 3], default=3)
-    p_construct.add_argument(
-        "--format", choices=["ascii", "json", "tikz", "svg"], default="ascii"
-    )
+    p_construct.add_argument("--format", choices=list(FORMATS), default="ascii")
     p_construct.add_argument("-o", "--out-dir", default=None)
     p_construct.set_defaults(func=cmd_construct)
 

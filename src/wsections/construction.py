@@ -142,19 +142,6 @@ class Section:
         return frozenset(u.key for u in self.v)
 
 
-@dataclass(frozen=True)
-class CompositeFamily:
-    """The unique disjoint composite-line cover between a neighboring pair."""
-
-    paths: tuple[tuple[int, ...], ...]  # box entries, ordered by starting row
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        for path in self.paths:
-            out.extend(zip(path, path[1:]))
-        return tuple(out)
-
-
 def _sorted_lines(lines) -> tuple[Line, ...]:
     return tuple(sorted(lines, key=lambda ln: ln.key))
 
@@ -342,8 +329,9 @@ def _cover(starts, targets_of) -> tuple[int, dict[int, int]]:
     return 1, chosen
 
 
-def verify_P1(ls: LineSet, pair: NeighborPair) -> CompositeFamily:
-    """The unique family of s disjoint composite lines crossing the pair.
+def verify_P1(ls: LineSet, pair: NeighborPair) -> tuple[tuple[int, ...], ...]:
+    """The unique family of s disjoint composite lines crossing the pair, each
+    the tuple of its box entries, ordered by starting row.
 
     The family covers every box of rows 1..s between the two columns,
     moving strictly left to right: it is the unique cover matching each
@@ -380,12 +368,12 @@ def verify_P1(ls: LineSet, pair: NeighborPair) -> CompositeFamily:
         while path[-1] in successor:
             path.append(successor[path[-1]])
         paths.append(tuple(path))
-    return CompositeFamily(paths=tuple(paths))
+    return tuple(paths)
 
 
-def verify_P2(ls: LineSet, family: CompositeFamily) -> bool:
+def verify_P2(ls: LineSet, family: tuple[tuple[int, ...], ...]) -> bool:
     """True iff a composite family found by verify_P1 uses exactly one 0-labelled line."""
-    zeros = sum(1 for a, b in family.edges() if ls.line_map[(a, b)].label == 0)
+    zeros = sum(ls.line_map[edge].label == 0 for path in family for edge in zip(path, path[1:]))
     return zeros == 1
 
 

@@ -101,7 +101,7 @@ def section_coordinate(ms: MinorSpec, sec: Section) -> tuple[int, MatrixUnit]:
     one term of degree 1 (det's values are squarefree), coefficient +-1.  Only
     V's cells stay symbolic, so that variable is a coordinate of V."""
     p = restrict_to_section(ms, sec)
-    terms = p.sorted_terms()
+    terms = list(p.terms.items())
     if len(terms) != 1 or len(terms[0][0]) != 1 or terms[0][1] not in (1, -1):
         raise SectionDefectError(
             f"pair ({ms.pair.v}, {ms.pair.v_prime}) restricts to {p}, not one coordinate"

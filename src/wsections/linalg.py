@@ -22,9 +22,11 @@ def rank_int(rows: Iterable[dict[int, int]]) -> int:
     entries are ints (a bool is not).  Before any reduction the rows are
     checked to be iterable, each to be a dict, then every column and entry
     to be an int; the first failure in row order raises InvalidInputError.
-    Each row is reduced, on a copy, against the pivot at its leading column
-    (r <- a*r - b*pivot, then divided by its content; neither for a pivot
-    of +-1) until it becomes a new pivot or vanishes.
+    Each row is reduced, on a copy, against the pivot p at its leading
+    column until it becomes a new pivot or vanishes, by one rule: with g the
+    gcd of p and the row's lead q, signed as p is, r <- a*r - b*pivot for
+    a = p/g > 0 and b = q/g, then r is divided by its content.  A pivot of
+    +-1 gives a = 1, so it scales nothing, and its content division is skipped.
     """
     if not isinstance(rows, Iterable):
         raise InvalidInputError(f"rank_int takes an iterable of dict rows, got {rows!r}")
@@ -51,11 +53,8 @@ def rank_int(rows: Iterable[dict[int, int]]) -> int:
             if r is row:  # reduce a copy, never the caller's row
                 r = dict(r)
             p = pivot[lead]
-            if p == 1 or p == -1:  # r - (r[lead]*p)*pivot clears the lead
-                a, b = 1, r[lead] * p
-            else:
-                g = gcd(p, r[lead])
-                a, b = p // g, r[lead] // g
+            g = gcd(p, r[lead]) if p > 0 else -gcd(p, r[lead])  # so a > 0, and 1 for p = +-1
+            a, b = p // g, r[lead] // g
             if a != 1:
                 for c in r:
                     r[c] *= a

@@ -43,8 +43,8 @@ class Polynomial:
     """Squarefree integer polynomial in x[i,j] variables, read but never combined.
 
     One form: the sorted variables, each monomial's number tuple over them
-    with its coefficient, sorted (numbers sort as the variables do, so this
-    is sorted_terms() order), and the least and greatest degree.  Only det
+    with its coefficient, sorted (numbers sort as the variables do, so the
+    monomials come in sorted order), and the least and greatest degree.  Only det
     builds one; there is no public constructor.  Every reading but terms
     uses the form alone; terms builds the monomial dict once and keeps it.
     Two values compare, and hash, by identity: compare their terms."""
@@ -56,7 +56,7 @@ class Polynomial:
 
     @property
     def terms(self) -> dict[Monomial, int]:
-        """The monomial -> coefficient dict, in sorted_terms() order; built on first read."""
+        """The monomial -> coefficient dict, in sorted order; built on first read."""
         if self._terms is None:
             items = [(var, 1) for var in self._vars]
             self._terms = {tuple([items[k] for k in nums]): c for nums, c in self._pairs}
@@ -77,9 +77,6 @@ class Polynomial:
             return self  # already homogeneous; a Polynomial is never changed
         high = self._high
         return _value(self._vars, [p for p in self._pairs if len(p[0]) == high], high, high)
-
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return list(self.terms.items())
 
     def to_string(self) -> str:
         if not self._pairs:
@@ -180,7 +177,7 @@ def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
     nonzero constants, and raises InvalidInputError otherwise.  It walks
     each row's variables from the left, then its constant.  All its leaves
     have one degree, so when the matrix's variables, read row by row from
-    the left, are already sorted, the leaves come out in sorted_terms()
+    the left, are already sorted, the leaves come out in sorted
     order and neither a leaf nor the leaves are sorted; otherwise each leaf
     and then all of them are sorted once.
     """
@@ -188,11 +185,9 @@ def det(matrix: SymbolicMatrix, *, top: bool = False) -> Polynomial:
     nonzero = [[(c, cell) for c, cell in enumerate(row) if cell] for row in matrix.rows]
     variables = [cell for row in nonzero for _, cell in row if cell.__class__ is tuple]
     names = sorted(variables)  # numbered in this order, so numbers sort as variables do
-    number = {}
-    if variables:
-        number = dict(zip(names, range(len(names))))
-        if len(number) < len(names):
-            raise InvalidInputError("a variable repeats in the matrix")
+    number = dict(zip(names, range(len(names))))
+    if len(number) < len(names):
+        raise InvalidInputError("a variable repeats in the matrix")
     # Each row's cells as (bit, lower bits, rise, multiplier, numbers), stored
     # reversed for the walk's stack: the row's constant, then its variables
     # from the right.  A variable raises the degree in top mode only, so full

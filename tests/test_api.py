@@ -8,6 +8,7 @@ not count, and neither does an attribute of anything else: t.neighboring_pairs
 reads the Tableau property, not a function of that name.
 """
 import ast
+import re
 from pathlib import Path
 
 import wsections
@@ -56,3 +57,17 @@ def test_readme_library_sketch_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("True ") and lines[1] == "2 (True, 13)"
     assert len(lines) == 4  # the report, the two checks, then one line per pair
+
+
+def test_readme_contracts_table_names_the_public_api():
+    # The first column of README's Contracts table names every public name
+    # and linalg.rank_int, and nothing else; a method row (Composition.parse)
+    # counts as its class.  A name dropped from __all__ leaves no stale row.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Contracts", 1)[1].split("\n\n| Name ", 1)[1].split("\n\n", 1)[0]
+    named = set()
+    for row in table.splitlines()[2:]:
+        for name in re.findall(r"`([\w.]+)", row.split("|")[1]):
+            head = name.split(".")[0]
+            named.add(head if head in wsections.__all__ else name)
+    assert named == set(wsections.__all__) | {"linalg.rank_int"}

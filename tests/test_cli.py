@@ -76,6 +76,16 @@ class TestConstruct:
         assert code == 0
         assert out.startswith("<svg ") and out.rstrip().endswith("</svg>")
 
+    @pytest.mark.parametrize(
+        "fmt, ext", [("ascii", "txt"), ("json", "json"), ("tikz", "tex"), ("svg", "svg")]
+    )
+    def test_out_dir_file_holds_stdout(self, capsys, tmp_path, fmt, ext):
+        argv = ["construct", "-c", "2,1,1,2", "--stage", "2", "--format", fmt]
+        code, out, _ = run(argv + ["-o", str(tmp_path)], capsys)
+        assert code == 0
+        assert [f.name for f in tmp_path.iterdir()] == [f"construct-2-1-1-2-stage2.{ext}"]
+        assert (tmp_path / f"construct-2-1-1-2-stage2.{ext}").read_bytes() == out.encode()
+
     def test_parse_error_exit_2(self, capsys, tmp_path):
         code, _, err = run(["construct", "-c", "2,x"], capsys)
         assert code == 2 and "error" in err
@@ -239,6 +249,40 @@ class TestSweep:
             "skipped_degree_checks": 0,
         }
         assert [r["composition"] for r in payload["rows"]][:3] == [[1], [1, 1], [2]]
+
+    def test_summary_counts_skipped_checks(self, capsys, tmp_path):
+        argv = ["sweep", "--n-max", "5", "--det-size-bound", "2", "-o", str(tmp_path)]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        payload = json.loads((tmp_path / "sweep-n5.json").read_text())
+        assert payload["summary"] == {
+            "total": 31,
+            "passed": 31,
+            "failed": 0,
+            "skipped_degree_checks": 5,
+        }
+        assert sum(len(row["skipped"]) for row in payload["rows"]) == 5
+        assert "31 compositions, 0 failures, 5 skipped degree checks" in out
+
+    def test_summary_counts_failed_rows(self, capsys, tmp_path, monkeypatch):
+        real = cli.verify_composition
+
+        def failing_one(parts, det_bound=None):
+            report = real(parts, det_bound)
+            return {**report, "pass": False} if parts == (1, 2) else report
+
+        monkeypatch.setattr(cli, "verify_composition", failing_one)
+        code, out, _ = run(["sweep", "--n-max", "3", "-o", str(tmp_path)], capsys)
+        assert code == 1
+        payload = json.loads((tmp_path / "sweep-n3.json").read_text())
+        assert payload["summary"] == {
+            "total": 7,
+            "passed": 6,
+            "failed": 1,
+            "skipped_degree_checks": 0,
+        }
+        assert [row["composition"] for row in payload["rows"] if not row["pass"]] == [[1, 2]]
+        assert "7 compositions, 1 failures, 0 skipped degree checks" in out
 
     def test_deterministic_output(self, capsys, tmp_path):
         run(["sweep", "--n-max", "3", "-o", str(tmp_path / "a")], capsys)

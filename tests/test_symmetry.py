@@ -5,12 +5,16 @@ onto that of reversed(c).  It sends x[i,j] to x[n+1-j, n+1-i] and the
 neighboring pair (v, v') of c to (r+1-v', r+1-v) of reversed(c).  So each
 generic invariant maps onto its partner's up to one global sign, and the two
 reports agree on every reading the map keeps, with the two separation modes
-swapped.  No permutation-expansion oracle reaches the palindromic minors of
-size 14 checked here; the map fixes them.  The two checks take n_max: the
+swapped.  The box mirror, (row u, column v) -> (row u, column r+1-v), sends
+each line (i, j) of c to (mirror j, mirror i), and carries c's rightmost
+step-2 zeros onto the leftmost ones of reversed(c), and back.  No
+permutation-expansion oracle reaches the palindromic minors of size 14
+checked here; the map fixes them.  The two checks take n_max: the
 tests run them to n <= 9, and CI to n <= 11.
 """
 from helpers import compositions_upto
 
+from wsections.construction import LEFTMOST, RIGHTMOST, step1, step2
 from wsections.invariants import build_minor, generic_invariant
 from wsections.tableau import Composition, NeighborPair, Tableau
 from wsections.verify import verify_composition
@@ -57,6 +61,18 @@ def invariants_map_onto_partners(n_max: int) -> int:
     return checked
 
 
+def mirror(parts) -> list[int]:
+    """Entry of c -> the entry of reversed(c) in the same row, column r+1-v."""
+    t, back = Tableau(Composition(parts)), Tableau(Composition(parts[::-1]))
+    r = len(parts)
+    return [0] + [back.columns[r - t.entry_col[e]][t.entry_row[e] - 1] for e in range(1, t.n + 1)]
+
+
+def zero_keys(parts, mode: str) -> set:
+    """The (i, j) of c's step-2 zero lines in the given mode."""
+    return {ln.key for ln in step2(step1(Tableau(Composition(parts))), mode).zero_lines()}
+
+
 def reversed_reports_agree(n_max: int) -> int:
     """Check the report of every composition with n <= n_max against its
     reverse's; return how many were compared.  A bound of n_max expands
@@ -74,6 +90,10 @@ def reversed_reports_agree(n_max: int) -> int:
         assert len(report["pairs"]) == len(other["pairs"])
         assert report["separation"]["rightmost"] == other["separation"]["leftmost"], parts
         assert report["separation"]["leftmost"] == other["separation"]["rightmost"], parts
+        m = mirror(parts)
+        for mode, swapped in ((RIGHTMOST, LEFTMOST), (LEFTMOST, RIGHTMOST)):
+            mapped = {(m[j], m[i]) for i, j in zero_keys(parts, mode)}
+            assert mapped == zero_keys(parts[::-1], swapped), (parts, mode)
     return len(reports)
 
 
